@@ -12,12 +12,19 @@ Later sources override earlier ones: built-in defaults, then the selected
 profile, then the config file, then the SKETCHBENCH_SEED environment
 variable, then command-line flags.
 
+Every sweep command runs on one engine, ``run_units``: the command checks
+its inputs and supplies one work unit, a function of (method, m, trial) and
+a random stream that returns a metric; the engine owns the loop, the
+streams, the timing, the thread pool and the rows.  verify-graph and
+magical-delta are one-method sweeps over the graph of the n and s keys.
+
 Every CSV cell except wall_time_ms is a pure function of (command, config,
 seed).  Each work unit draws its randomness from a child stream keyed by a
 hash of (command, method label, m, trial), so adding methods or m values to
 a sweep never changes the rows that were already there, and thread count
 never affects output: rows are emitted in (method, m, trial) order no
-matter which worker finishes first.
+matter which worker finishes first.  Each row is written as soon as it and
+every earlier row are done, so a sweep that fails keeps its finished rows.
 
 Method specs are colon-separated: ``graph:s=2``, ``graph:s=4:gamma=8``,
 ``countsketch`` (same as graph:s=1), ``gaussian``.  Graph methods round m
@@ -39,6 +46,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +86,6 @@ _CONFIG_KEYS = {
     "m_values": str,
     "k": int,
     "eps": float,
-    "delta": float,
     "trials": int,
     "seed": int,
     "output": str,
@@ -94,7 +101,6 @@ _DEFAULTS = {
     "m_values": None,
     "k": 10,
     "eps": 0.5,
-    "delta": 0.1,
     "trials": 10,
     "seed": 12345,
     "output": None,
@@ -210,7 +216,6 @@ class ExperimentConfig:
     m_values: tuple[int, ...]
     k: int
     eps: float
-    delta: float
     trials: int
     seed: int
     output: str | None
@@ -328,7 +333,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         m_values=_parse_m_values(typed["m_values"]),
         k=int(typed["k"]),
         eps=float(typed["eps"]),
-        delta=float(typed["delta"]),
         trials=int(typed["trials"]),
         seed=int(typed["seed"]),
         output=typed["output"],
@@ -412,19 +416,54 @@ def load_dataset(spec: str, master: Prng) -> Dataset:
 
 
 def _pool_map(fn, items, threads: int):
+    """Lazy ``map(fn, items)``: results in item order, however threads finish."""
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
+
+
+def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
+              methods, unit, trials: int | None = None):
+    """The sweep engine shared by every command: rows in (method, m, trial) order.
+
+    ``unit(method, m, m_eff, trial, stream)`` returns ``(metric_name, value)``
+    for one work unit; the engine derives the unit's stream, times it and
+    builds its row.  The result is an iterator, so a caller can write each
+    row as soon as it and every earlier one are done.
+    """
+    master = Prng(cfg.seed)
+    items = [
+        (method, m, trial)
+        for method in methods
+        for m in cfg.m_values
+        for trial in range(cfg.trials if trials is None else trials)
+    ]
+
+    def work(item):
+        method, m, trial = item
+        t0 = time.perf_counter()
+        m_eff = method.effective_m(m)
+        stream = _trial_stream(master, cfg.command, method.label, m, trial)
+        metric_name, value = unit(method, m, m_eff, trial, stream)
+        return SweepRow(
+            command=cfg.command, dataset=dataset, method=method.label,
+            n=n, d=d, s=method.s, gamma=method.gamma_text,
+            m_requested=m, m_effective=m_eff, k=k, trial=trial, seed=cfg.seed,
+            metric_name=metric_name, metric_value=value,
+            wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        )
+
+    return _pool_map(work, items, cfg.threads)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: set-up checks run at once; the rows come from the engine
 
 
-def run_distortion_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    master = Prng(cfg.seed)
-    data = load_dataset(cfg.input, master)
+def run_distortion_sweep(cfg: ExperimentConfig):
+    data = load_dataset(cfg.input, Prng(cfg.seed))
     a = densify(data.matrix)
     if a.shape[0] < a.shape[1]:
         raise RankDeficiencyError(
@@ -435,177 +474,97 @@ def run_distortion_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
         raise RankDeficiencyError("input matrix is rank deficient; distortion is undefined")
 
-    items = [
-        (method, m, trial)
-        for method in cfg.methods
-        for m in cfg.m_values
-        for trial in range(cfg.trials)
-    ]
-
-    def work(item):
-        method, m, trial = item
-        t0 = time.perf_counter()
-        m_eff = method.effective_m(m)
-        stream = _trial_stream(master, cfg.command, method.label, m, trial)
+    def unit(method, m, m_eff, trial, stream):
         op = method.build(data.n, m_eff, stream, cfg.row_mode)
-        eta = distortion_via_basis(basis, op).eta
-        ms = (time.perf_counter() - t0) * 1000.0
-        return SweepRow(
-            command=cfg.command, dataset=data.spec, method=method.label,
-            n=data.n, d=data.d, s=method.s, gamma=method.gamma_text,
-            m_requested=m, m_effective=m_eff, k=data.d, trial=trial,
-            seed=cfg.seed, metric_name="distortion", metric_value=eta,
-            wall_time_ms=ms,
-        )
+        return "distortion", distortion_via_basis(basis, op).eta
 
-    return _pool_map(work, items, cfg.threads)
+    return run_units(cfg, data.spec, data.n, data.d, data.d, cfg.methods, unit)
 
 
-def run_lowrank_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    master = Prng(cfg.seed)
-    data = load_dataset(cfg.input, master)
+def run_lowrank_sweep(cfg: ExperimentConfig):
+    data = load_dataset(cfg.input, Prng(cfg.seed))
     if not 1 <= cfg.k <= min(data.n, data.d):
         raise ConfigError(f"k={cfg.k} out of range for {data.n}x{data.d} input")
 
-    items = [
-        (method, m, trial)
-        for method in cfg.methods
-        for m in cfg.m_values
-        for trial in range(cfg.trials)
-    ]
-
-    def work(item):
-        method, m, trial = item
-        t0 = time.perf_counter()
-        m_eff = method.effective_m(m)
-        common = dict(
-            command=cfg.command, dataset=data.spec, method=method.label,
-            n=data.n, d=data.d, s=method.s, gamma=method.gamma_text,
-            m_requested=m, m_effective=m_eff, k=cfg.k, trial=trial, seed=cfg.seed,
-        )
+    def unit(method, m, m_eff, trial, stream):
         if m_eff < cfg.k:
             # too few sketch rows to capture a rank-k subspace; emit a
             # warning row instead of aborting the sweep
-            ms = (time.perf_counter() - t0) * 1000.0
-            return SweepRow(
-                metric_name="skipped_m_below_k", metric_value=1.0,
-                wall_time_ms=ms, **common,
-            )
-        stream = _trial_stream(master, cfg.command, method.label, m, trial)
+            return "skipped_m_below_k", 1.0
         op = method.build(data.n, m_eff, stream, cfg.row_mode)
-        res = lowrank_approx(data.matrix, cfg.k, op)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return SweepRow(
-            metric_name="lowrank_ratio", metric_value=res.ratio,
-            wall_time_ms=ms, **common,
-        )
+        return "lowrank_ratio", lowrank_approx(data.matrix, cfg.k, op).ratio
 
-    return _pool_map(work, items, cfg.threads)
+    return run_units(cfg, data.spec, data.n, data.d, cfg.k, cfg.methods, unit)
 
 
-def run_lsq_bench(cfg: ExperimentConfig) -> list[SweepRow]:
-    master = Prng(cfg.seed)
-    data = load_dataset(cfg.input, master)
+def run_lsq_bench(cfg: ExperimentConfig):
+    data = load_dataset(cfg.input, Prng(cfg.seed))
     a = densify(data.matrix)
     if a.shape[0] < a.shape[1]:
         raise RankDeficiencyError(
             f"least squares needs a tall input, got {a.shape[0]}x{a.shape[1]}"
         )
 
-    items = [
-        (method, m, trial)
-        for method in cfg.methods
-        for m in cfg.m_values
-        for trial in range(cfg.trials)
-    ]
-
-    def work(item):
-        method, m, trial = item
-        t0 = time.perf_counter()
-        m_eff = method.effective_m(m)
-        stream = _trial_stream(master, cfg.command, method.label, m, trial)
+    def unit(method, m, m_eff, trial, stream):
         op = method.build(data.n, m_eff, stream.split(0), cfg.row_mode)
         # per-trial noisy consistent system: b = A x0 + 0.1 z
         x0 = stream.split(1).normal(data.d)
         noise = stream.split(2).normal(data.n)
         b = a @ x0 + 0.1 * noise
-        res = sketch_and_solve_lsq(a, b, op)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return SweepRow(
-            command=cfg.command, dataset=data.spec, method=method.label,
-            n=data.n, d=data.d, s=method.s, gamma=method.gamma_text,
-            m_requested=m, m_effective=m_eff, k=data.d, trial=trial,
-            seed=cfg.seed, metric_name="lsq_ratio", metric_value=res.ratio,
-            wall_time_ms=ms,
-        )
+        return "lsq_ratio", sketch_and_solve_lsq(a, b, op).ratio
 
-    return _pool_map(work, items, cfg.threads)
+    return run_units(cfg, data.spec, data.n, data.d, data.d, cfg.methods, unit)
 
 
-def run_verify_graph(cfg: ExperimentConfig) -> list[SweepRow]:
-    master = Prng(cfg.seed)
-    method = cfg.methods[0]
-    if method.kind != "graph":
+def _graph_method(cfg: ExperimentConfig) -> MethodSpec:
+    """The one method of the graph-only commands, labelled by n and s."""
+    return MethodSpec(label=f"graph:n={cfg.n}:s={cfg.s}", kind="graph", s=cfg.s, gamma=None)
+
+
+def run_verify_graph(cfg: ExperimentConfig):
+    if cfg.methods[0].kind != "graph":
         raise ConfigError("verify-graph needs a graph method")
-    spec = f"graph:n={cfg.n}:s={cfg.s}"
-    rows: list[SweepRow] = []
-    witnesses: list[str] = []
-    for m in cfg.m_values:
-        m_eff = ((m + cfg.s - 1) // cfg.s) * cfg.s
-        for trial in range(cfg.trials):
-            t0 = time.perf_counter()
-            stream = _trial_stream(master, cfg.command, spec, m, trial)
-            g = sketch_to_graph(
-                graph_sketch_new(cfg.n, m_eff, cfg.s, stream, row_mode=cfg.row_mode)
-            )
-            res = verify_expansion(g, cfg.k, cfg.eps)
-            if res.witness is not None:
-                witnesses.append(f"m={m} trial={trial} witness={list(res.witness)}")
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(SweepRow(
-                command=cfg.command, dataset=spec, method=spec,
-                n=cfg.n, d=0, s=cfg.s, gamma="full",
-                m_requested=m, m_effective=m_eff, k=cfg.k, trial=trial,
-                seed=cfg.seed, metric_name="expansion_holds",
-                metric_value=1.0 if res.holds else 0.0, wall_time_ms=ms,
-            ))
-    if witnesses:
-        text = "\n".join(witnesses) + "\n"
-        if cfg.output is not None:
-            Path(cfg.output + ".witness.txt").write_text(text)
-        else:
-            sys.stderr.write(text)
-    return rows
+    method = _graph_method(cfg)
+    witnesses: dict[tuple[int, int], str] = {}
+
+    def unit(method, m, m_eff, trial, stream):
+        g = sketch_to_graph(method.build(cfg.n, m_eff, stream, cfg.row_mode))
+        res = verify_expansion(g, cfg.k, cfg.eps)
+        if res.witness is not None:
+            witnesses[m, trial] = f"m={m} trial={trial} witness={list(res.witness)}"
+        return "expansion_holds", 1.0 if res.holds else 0.0
+
+    rows = run_units(cfg, method.label, cfg.n, 0, cfg.k, (method,), unit)
+
+    def rows_then_witnesses():
+        yield from rows
+        if witnesses:
+            text = "".join(witnesses[key] + "\n" for key in sorted(witnesses))
+            if cfg.output is not None:
+                Path(cfg.output + ".witness.txt").write_text(text)
+            else:
+                sys.stderr.write(text)
+
+    return rows_then_witnesses()
 
 
-def run_magical_delta(cfg: ExperimentConfig) -> list[SweepRow]:
-    master = Prng(cfg.seed)
-    spec = f"graph:n={cfg.n}:s={cfg.s}"
-    rows: list[SweepRow] = []
-    for m in cfg.m_values:
-        t0 = time.perf_counter()
-        m_eff = ((m + cfg.s - 1) // cfg.s) * cfg.s
-        stream = _trial_stream(master, cfg.command, spec, m, 0)
+def run_magical_delta(cfg: ExperimentConfig):
+    method = _graph_method(cfg)
+
+    def unit(method, m, m_eff, trial, stream):
         rate = estimate_magical_delta(cfg.n, m_eff, cfg.s, cfg.k, cfg.trials, stream)
-        ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(SweepRow(
-            command=cfg.command, dataset=spec, method=spec,
-            n=cfg.n, d=0, s=cfg.s, gamma="full",
-            m_requested=m, m_effective=m_eff, k=cfg.k, trial=0,
-            seed=cfg.seed, metric_name="failure_rate", metric_value=rate,
-            wall_time_ms=ms,
-        ))
-    return rows
+        return "failure_rate", rate
+
+    # one row per m: the estimator runs the cfg.trials trials itself
+    return run_units(cfg, method.label, cfg.n, 0, cfg.k, (method,), unit, trials=1)
 
 
-def run_gen(cfg: ExperimentConfig) -> list[SweepRow]:
+def run_gen(cfg: ExperimentConfig) -> None:
     if not cfg.input.startswith("gen:"):
         raise ConfigError("gen needs a gen:... input spec")
-    master = Prng(cfg.seed)
-    data = load_dataset(cfg.input, master)
+    data = load_dataset(cfg.input, Prng(cfg.seed))
     write_matrix_market(data.matrix, cfg.output)
     sys.stderr.write(f"wrote {data.n}x{data.d} matrix to {cfg.output}\n")
-    return []
 
 
 _RUNNERS = {
@@ -622,13 +581,13 @@ _RUNNERS = {
 # entry points
 
 
-def write_csv(rows: list[SweepRow], output: str | None) -> None:
-    lines = [CSV_HEADER] + [row.to_line() for row in rows]
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+def _write_csv(rows, output: str | None) -> None:
+    """Header first, then each row as soon as it and every earlier row are done."""
+    with open(output, "w") if output is not None else nullcontext(sys.stdout) as out:
+        out.write(CSV_HEADER + "\n")
+        for row in rows:
+            out.write(row.to_line() + "\n")
+            out.flush()
 
 
 def _arg_parser() -> argparse.ArgumentParser:
@@ -653,6 +612,8 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         rows = _RUNNERS[cfg.command](cfg)
+        if rows is not None:
+            _write_csv(rows, cfg.output)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -665,8 +626,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    if cfg.command != "gen":
-        write_csv(rows, cfg.output)
     return 0
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "thin_qr",
     "svd",
     "singular_values",
-    "truncate_svd",
     "eigh_jacobi",
     "spectral_norm",
     "spd_inv_sqrt",
@@ -158,7 +157,8 @@ def _one_sided_jacobi(w: np.ndarray, accumulate_v: bool) -> np.ndarray | None:
                 if npp <= 0.0 or nqq <= 0.0:
                     continue
                 npq = float(w[:, p] @ w[:, q])
-                ratio = abs(npq) / math.sqrt(npp * nqq)
+                # two roots: the product npp * nqq can underflow to 0
+                ratio = abs(npq) / (math.sqrt(npp) * math.sqrt(nqq))
                 worst = max(worst, ratio)
                 if ratio <= _JACOBI_TOL:
                     continue
@@ -261,16 +261,6 @@ def singular_values(a) -> np.ndarray:
     sig = np.sqrt(np.sum(w * w, axis=0))
     sig[::-1].sort()
     return sig
-
-
-def truncate_svd(res: SvdResult, k: int) -> SvdResult:
-    if not 1 <= k <= res.rank:
-        raise ValueError(f"k must be in [1, {res.rank}], got {k}")
-    return SvdResult(
-        U=res.U[:, :k].copy(),
-        singular_values=res.singular_values[:k].copy(),
-        V=res.V[:, :k].copy(),
-    )
 
 
 def eigh_jacobi(m) -> tuple[np.ndarray, np.ndarray]:

@@ -95,21 +95,11 @@ class CsrMatrix:
         return out
 
 
-Matrix = "np.ndarray | CsrMatrix"
-
-
 def densify(m) -> np.ndarray:
     """CSR to dense; dense passes through unchanged."""
     if isinstance(m, CsrMatrix):
         return m.to_dense()
     return np.asarray(m, dtype=np.float64)
-
-
-def frobenius_norm(m) -> float:
-    if isinstance(m, CsrMatrix):
-        return float(np.sqrt(np.sum(m.values**2)))
-    a = np.asarray(m, dtype=np.float64)
-    return float(np.sqrt(np.sum(a * a)))
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,26 @@ def _check_orthonormal(u: np.ndarray) -> None:
         raise ValueError("U does not have orthonormal columns within 1e-10")
 
 
-def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
-    """Distortion from the singular values of S @ U, U an orthonormal basis."""
+def _sketched_spectrum(op: SketchOperator, u) -> np.ndarray:
+    """All d singular values of S @ U, descending, for an orthonormal n x d U.
+
+    With fewer sketch rows than d, S @ U has d - m structural zeros that the
+    factorization does not return; they are appended here.
+    """
     u = np.asarray(u, dtype=np.float64)
     _check_orthonormal(u)
-    if u.shape[1] == 0:
-        return DistortionResult(eta=0.0, sigma_min=1.0, sigma_max=1.0, method="basis")
+    d = u.shape[1]
+    if d == 0:
+        return np.empty(0)
     sig = singular_values(sketch_apply(op, u))
+    return np.concatenate([sig, np.zeros(d - len(sig))])
+
+
+def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
+    """Distortion from the singular values of S @ U, U an orthonormal basis."""
+    sig = _sketched_spectrum(op, u)
+    if len(sig) == 0:
+        return DistortionResult(eta=0.0, sigma_min=1.0, sigma_max=1.0, method="basis")
     eta = float(np.max(np.abs(1.0 - sig**2)))
     return DistortionResult(
         eta=eta, sigma_min=float(sig[-1]), sigma_max=float(sig[0]), method="basis"
@@ -108,18 +121,11 @@ def check_subspace_embedding(op: SketchOperator, u, eps: float) -> EmbeddingChec
     """Evaluate both epsilon conventions on the singular values of S @ U."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    u = np.asarray(u, dtype=np.float64)
-    _check_orthonormal(u)
-    if u.shape[1] == 0:
-        return EmbeddingCheck(
-            eps=eps, holds_squared=True, holds_linear=True,
-            singular_values=np.empty(0),
-        )
-    sig = singular_values(sketch_apply(op, u))
+    sig = _sketched_spectrum(op, u)
     return EmbeddingCheck(
         eps=eps,
-        holds_squared=bool(np.max(np.abs(1.0 - sig**2)) <= eps),
-        holds_linear=bool(np.max(np.abs(1.0 - sig)) <= eps),
+        holds_squared=bool(np.all(np.abs(1.0 - sig**2) <= eps)),
+        holds_linear=bool(np.all(np.abs(1.0 - sig) <= eps)),
         singular_values=sig,
     )
 

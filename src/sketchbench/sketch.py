@@ -49,13 +49,6 @@ class SketchProvenance:
     seed: int
     row_mode: str = "block"
 
-    def as_record(self) -> str:
-        indep = "full" if self.gamma is None else str(self.gamma)
-        return (
-            f"{self.method};n={self.n};m={self.m};s={self.s};"
-            f"gamma={indep};seed={self.seed};rows={self.row_mode}"
-        )
-
 
 @dataclass
 class GraphSketch:
@@ -66,10 +59,6 @@ class GraphSketch:
     signs_per_column: np.ndarray   # (n, s) float64, entries +1 or -1
     gamma: int | None
     provenance: SketchProvenance
-
-    @property
-    def independence(self) -> str:
-        return "full" if self.gamma is None else f"gamma_wise({self.gamma})"
 
     @property
     def scale(self) -> float:
@@ -156,18 +145,6 @@ def graph_sketch_new(
     return GraphSketch(
         n=n, m=m, s=s, rows_per_column=rows, signs_per_column=signs,
         gamma=gamma, provenance=prov,
-    )
-
-
-def countsketch_new(n: int, m: int, rng: Prng) -> GraphSketch:
-    """One ±1 entry per column: the s=1 graph sketch."""
-    sk = graph_sketch_new(n, m, 1, rng)
-    prov = SketchProvenance(
-        method="countsketch", n=n, m=m, s=1, gamma=None, seed=rng.seed
-    )
-    return GraphSketch(
-        n=n, m=m, s=1, rows_per_column=sk.rows_per_column,
-        signs_per_column=sk.signs_per_column, gamma=None, provenance=prov,
     )
 
 

@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+from sketchbench import cli
 from sketchbench.cli import (
     CSV_HEADER,
     ConfigError,
@@ -12,6 +13,7 @@ from sketchbench.cli import (
     main,
     parse_method,
 )
+from sketchbench.linalg import ConvergenceError
 from sketchbench.matrices import read_matrix_market
 from sketchbench.rng import Prng
 
@@ -263,6 +265,46 @@ def test_distortion_sweep_same_seed_identical_bytes(tmp_path):
     assert _without_time(out1) == _without_time(out2)
 
 
+_VERIFY_GRAPH_CFG = "n = 60\ns = 2\nk = 2\neps = 0.5\nm_values = 8\ntrials = 2\nseed = 5\n"
+
+
+@pytest.mark.parametrize("command, cfg_text", [
+    ("lowrank-sweep", "input = gen:lowrank:96x16:4:0.01\nmethods = graph:s=2,gaussian\n"
+                      "m_values = 2,8\nk = 4\ntrials = 2\nseed = 31\n"),
+    ("lsq-bench", "input = gen:gaussian:400x6\nmethods = graph:s=2,gaussian\n"
+                  "m_values = 60,120\ntrials = 2\nseed = 31\n"),
+    ("verify-graph", _VERIFY_GRAPH_CFG),
+    ("magical-delta", "n = 120\ns = 2\nk = 4\nm_values = 20,40\ntrials = 30\nseed = 9\n"),
+])
+def test_sweep_same_seed_identical_bytes_at_any_thread_count(tmp_path, command, cfg_text):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(cfg_text)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([command, "--config", str(cfg_file), "--out", str(out1)]) == 0
+    assert main([command, "--config", str(cfg_file), "--out", str(out2), "--threads", "3"]) == 0
+    assert _without_time(out1) == _without_time(out2)
+    if command == "verify-graph":
+        witness1 = (tmp_path / "a.csv.witness.txt").read_text()
+        assert witness1 == (tmp_path / "b.csv.witness.txt").read_text()
+
+
+def test_failed_unit_keeps_the_rows_before_it(tmp_path, monkeypatch):
+    cfg = _write_sweep_cfg(tmp_path)
+    clean, cut = tmp_path / "clean.csv", tmp_path / "cut.csv"
+    assert main(["distortion-sweep", "--config", cfg, "--out", str(clean)]) == 0
+    real, calls = cli.distortion_via_basis, []
+
+    def fails_on_third_call(u, op):
+        calls.append(op)
+        if len(calls) == 3:
+            raise ConvergenceError("injected failure", 1.0)
+        return real(u, op)
+
+    monkeypatch.setattr(cli, "distortion_via_basis", fails_on_third_call)
+    assert main(["distortion-sweep", "--config", cfg, "--out", str(cut)]) == 3
+    assert _without_time(cut) == _without_time(clean)[:3]  # header and two rows
+
+
 def test_adding_a_method_preserves_existing_rows(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg1 = _write_sweep_cfg(tmp_path, methods="graph:s=2")
@@ -332,7 +374,7 @@ def test_lsq_bench_ratios_near_one(tmp_path):
 
 def test_verify_graph_writes_witness_file(tmp_path):
     cfg_file = tmp_path / "vg.cfg"
-    cfg_file.write_text("n = 60\ns = 2\nk = 2\neps = 0.5\nm_values = 8\ntrials = 2\nseed = 5\n")
+    cfg_file.write_text(_VERIFY_GRAPH_CFG)
     out = tmp_path / "vg.csv"
     assert main(["verify-graph", "--config", str(cfg_file), "--out", str(out)]) == 0
     rows = _rows(out)

@@ -9,7 +9,6 @@ from sketchbench.matrices import (
     CsrMatrix,
     MatrixMarketError,
     densify,
-    frobenius_norm,
     gen_gaussian,
     gen_low_rank_plus_noise,
     read_matrix_market,
@@ -41,12 +40,6 @@ def test_densify_passthrough():
     a = np.eye(3)
     assert densify(a) is a  # float64 input passes through without copying
     np.testing.assert_array_equal(densify(a), a)
-
-
-def test_frobenius_norm_agrees_between_forms():
-    m = CsrMatrix.from_coo([0, 1], [1, 0], [3.0, 4.0], (2, 2))
-    assert frobenius_norm(m) == pytest.approx(5.0)
-    assert frobenius_norm(m.to_dense()) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,20 @@ def test_basis_eta_from_extreme_sigmas():
     assert res.eta == pytest.approx(expected, rel=1e-12)
 
 
+def test_basis_keeps_structural_zeros_when_m_below_d():
+    # 12 sketch rows cannot embed a 20-dimensional subspace: S @ U has 8
+    # zero singular values that the factorization of the 12 x 20 product
+    # does not return
+    u, _ = thin_qr(gen_gaussian(60, 20, Prng(123)))
+    op = graph_sketch_new(60, 12, 2, Prng(124))
+    res = distortion_via_basis(u, op)
+    assert res.sigma_min == 0.0
+    assert res.eta >= 1.0
+    chk = check_subspace_embedding(op, u, 0.9)
+    assert not chk.holds_squared
+    assert chk.singular_values.shape == (20,)
+
+
 def test_basis_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         distortion_via_basis(2.0 * np.eye(3), identity_sketch(3))

@@ -10,7 +10,6 @@ from sketchbench.rng import Prng
 from sketchbench.sketch import (
     GaussianSketch,
     GraphSketch,
-    countsketch_new,
     expander_sketch_params,
     gaussian_sketch_new,
     graph_sketch_new,
@@ -82,7 +81,6 @@ def test_subset_row_mode_no_block_structure_required():
 def test_gamma_mode_structure_and_determinism():
     sk = graph_sketch_new(50, 20, 2, Prng(56), gamma=4)
     sk.validate()
-    assert sk.independence == "gamma_wise(4)"
     again = graph_sketch_new(50, 20, 2, Prng(56), gamma=4)
     np.testing.assert_array_equal(sk.rows_per_column, again.rows_per_column)
     np.testing.assert_array_equal(sk.signs_per_column, again.signs_per_column)
@@ -104,7 +102,7 @@ def test_gamma_differs_from_full():
 
 
 def test_countsketch_single_pm1_per_column():
-    sk = countsketch_new(40, 16, Prng(59))
+    sk = graph_sketch_new(40, 16, 1, Prng(59))
     assert sk.s == 1
     dense = sketch_densify(sk)
     for j in range(40):
@@ -114,14 +112,14 @@ def test_countsketch_single_pm1_per_column():
 
 
 def test_countsketch_frobenius_exact():
-    sk = countsketch_new(33, 8, Prng(60))
+    sk = graph_sketch_new(33, 8, 1, Prng(60))
     dense = sketch_densify(sk)
     assert float(np.sum(dense * dense)) == 33.0
 
 
 def test_countsketch_reproducible():
-    a = countsketch_new(20, 8, Prng(61))
-    b = countsketch_new(20, 8, Prng(61))
+    a = graph_sketch_new(20, 8, 1, Prng(61))
+    b = graph_sketch_new(20, 8, 1, Prng(61))
     np.testing.assert_array_equal(a.rows_per_column, b.rows_per_column)
     np.testing.assert_array_equal(a.signs_per_column, b.signs_per_column)
 
@@ -245,7 +243,7 @@ def test_fast_apply_matches_dense_oracle_csr(s):
 def test_apply_linearity_exact_countsketch_integers():
     # with s=1 (scale 1) and integer inputs every float op is exact, so
     # bilinearity holds bit for bit
-    sk = countsketch_new(12, 6, Prng(70))
+    sk = graph_sketch_new(12, 6, 1, Prng(70))
     a = np.floor(gen_gaussian(12, 3, Prng(71)) * 8)
     b = np.floor(gen_gaussian(12, 3, Prng(72)) * 8)
     lhs = sketch_apply(sk, a + b)
@@ -340,10 +338,3 @@ def test_sketch_to_graph_rejects_gaussian():
     with pytest.raises(TypeError):
         sketch_to_graph(gaussian_sketch_new(4, 3, Prng(83)))
 
-
-def test_provenance_record():
-    sk = graph_sketch_new(10, 6, 2, Prng(84), gamma=3)
-    rec = sk.provenance.as_record()
-    assert "graph" in rec and "gamma=3" in rec and f"seed={Prng(84).seed}" in rec
-    full = countsketch_new(10, 6, Prng(85))
-    assert "gamma=full" in full.provenance.as_record()
