@@ -1,4 +1,4 @@
-"""Dense factorization kernels: thin QR, SVD, eigendecomposition, and solvers.
+"""Dense factorization kernels: thin QR, SVD, and least squares.
 
 Everything here is written against plain numpy array arithmetic; none of it
 calls ``numpy.linalg``, which the test suite keeps free to use as an
@@ -8,17 +8,16 @@ Algorithm choices, pinned for reproducibility:
 
 * ``thin_qr``: Householder reflections, reduced form, with the diagonal of R
   made nonnegative by sign flips (deterministic output).
-* ``svd``: one-sided Jacobi rotations after a QR preprocessing step, so the
-  rotation phase always runs on a square min(n,d) matrix.  Column norms are
-  tracked with the Rutishauser update and refreshed once per sweep.  Sweeps
-  are capped at 60; hitting the cap raises ConvergenceError carrying the
-  worst remaining off-diagonal ratio.
-* ``eigh_jacobi``: classical two-sided Jacobi for symmetric matrices, used by
-  ``spd_inv_sqrt`` and available to tests as a second route to singular
-  values via the Gram matrix.
-* ``spectral_norm``: power iteration on the Gram matrix with a fixed-seed
-  start vector, capped at 10 000 iterations; matrices whose smaller dimension
-  is below 64 take the exact route through ``singular_values`` instead.
+* ``svd`` and ``singular_values``: one-sided Jacobi rotations after a QR
+  preprocessing step, so the rotation phase always runs on a square
+  min(n,d) matrix.  The input is first divided by the power of two 2**e
+  with max|a| < 2**e <= 2 max|a|, and the singular values are multiplied
+  back at the end; the scaling is exact, and it keeps the squared norms
+  inside the float64 range for any input scale.  Column norms are tracked
+  with the Rutishauser update and refreshed once per sweep.  Sweeps are
+  capped at 60; hitting the cap raises ConvergenceError carrying the worst
+  remaining off-diagonal ratio.  This is the only rotation loop in the
+  package: every spectrum, the spectral norm included, comes from it.
 
 Sign convention for the SVD: each column of U has its largest-magnitude
 entry positive (ties broken by lowest row index), with the matching V column
@@ -32,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Prng
-
 JACOBI_SWEEP_CAP = 60
-POWER_ITERATION_CAP = 10_000
-POWER_FALLBACK_DIM = 64
 _JACOBI_TOL = 1e-14
-_SPECTRAL_SEED = 0x5EED01
 
 __all__ = [
     "ConvergenceError",
@@ -47,9 +41,6 @@ __all__ = [
     "thin_qr",
     "svd",
     "singular_values",
-    "eigh_jacobi",
-    "spectral_norm",
-    "spd_inv_sqrt",
     "lstsq_exact",
 ]
 
@@ -221,17 +212,30 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
             v[:, j] = -v[:, j]
 
 
+def _jacobi_columns(a, accumulate_v: bool):
+    """The start that svd and singular_values share.
+
+    A wide input is transposed so the rest sees n >= d, then divided by 2**e
+    with e from frexp(max|a|), then factored as Q w; the columns of w are
+    orthogonalized in place.  Returns (q, w, sig, v, e, transposed): sig holds
+    the column norms of w, that is the singular values of the scaled input,
+    unsorted; 2**e * sig are those of the input.
+    """
+    a = _as_matrix(a)
+    transposed = a.shape[0] < a.shape[1]
+    if transposed:
+        a = a.T
+    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    q, w = thin_qr(np.ldexp(a, -e))
+    v = _one_sided_jacobi(w, accumulate_v)
+    sig = np.sqrt(np.sum(w * w, axis=0))
+    return q, w, sig, v, e, transposed
+
+
 def svd(a) -> SvdResult:
     """Full thin SVD with r = min(n, d) triples."""
-    a = _as_matrix(a)
-    n, d = a.shape
-    if n < d:
-        res = svd(a.T)
-        return SvdResult(U=res.V, singular_values=res.singular_values, V=res.U)
-    q, r = thin_qr(a)
-    w = r.copy()
-    v = _one_sided_jacobi(w, accumulate_v=True)
-    sig = np.sqrt(np.sum(w * w, axis=0))
+    q, w, sig, v, e, transposed = _jacobi_columns(a, accumulate_v=True)
+    d = w.shape[1]
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
     w = w[:, order]
@@ -247,132 +251,17 @@ def svd(a) -> SvdResult:
         _complete_orthonormal(u_r, filled)
     u = q @ u_r
     _fix_signs(u, v)
+    sig = np.ldexp(sig, e)
+    if transposed:
+        return SvdResult(U=v, singular_values=sig, V=u)
     return SvdResult(U=u, singular_values=sig, V=v)
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values only, descending; skips all U/V accumulation."""
-    a = _as_matrix(a)
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    _, r = thin_qr(a)
-    w = r.copy()
-    _one_sided_jacobi(w, accumulate_v=False)
-    sig = np.sqrt(np.sum(w * w, axis=0))
+    _, _, sig, _, e, _ = _jacobi_columns(a, accumulate_v=False)
     sig[::-1].sort()
-    return sig
-
-
-def eigh_jacobi(m) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition by cyclic two-sided Jacobi rotations.
-
-    Returns (eigenvalues ascending, V with orthonormal columns) such that
-    m ~= V @ diag(eigenvalues) @ V.T.  Input must be square; it is
-    symmetrized before iterating.
-    """
-    a = _as_matrix(m)
-    d = a.shape[0]
-    if a.shape[1] != d:
-        raise ValueError(f"eigh_jacobi needs a square matrix, got {a.shape}")
-    b = (a + a.T) / 2.0
-    v = np.eye(d)
-    scale = _norm(b)
-    if scale == 0.0 or d == 1:
-        return np.diag(b).copy(), v
-    thresh = _JACOBI_TOL * scale
-    worst = 0.0
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = b - np.diag(np.diag(b))
-        worst = float(np.max(np.abs(off)))
-        if worst <= thresh:
-            w = np.diag(b).copy()
-            order = np.argsort(w, kind="stable")
-            return w[order], v[:, order]
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                bpq = b[p, q]
-                if abs(bpq) <= thresh:
-                    continue
-                zeta = (b[q, q] - b[p, p]) / (2.0 * bpq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                bp = b[:, p].copy()
-                b[:, p] = cs * bp - sn * b[:, q]
-                b[:, q] = sn * bp + cs * b[:, q]
-                bp = b[p, :].copy()
-                b[p, :] = cs * bp - sn * b[q, :]
-                b[q, :] = sn * bp + cs * b[q, :]
-                b[p, q] = 0.0
-                b[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = cs * vp - sn * v[:, q]
-                v[:, q] = sn * vp + cs * v[:, q]
-    raise ConvergenceError(
-        f"two-sided Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps", worst / scale
-    )
-
-
-def spectral_norm(a, tol: float = 1e-6) -> float:
-    """Largest singular value, to relative accuracy roughly ``tol``.
-
-    Small matrices (min dimension < 64) go through the exact Jacobi route.
-    Larger ones run power iteration on the Gram matrix from a fixed-seed
-    random start, stopping when successive estimates stabilize to within
-    ``tol`` relative, capped at 10 000 iterations (the cap returns the last
-    estimate rather than raising, since the estimate is still a valid lower
-    bound that grows monotonically in exact arithmetic).
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    a = _as_matrix(a)
-    if min(a.shape) < POWER_FALLBACK_DIM:
-        sig = singular_values(a)
-        return float(sig[0]) if len(sig) else 0.0
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    v = Prng(_SPECTRAL_SEED).normal(a.shape[1])
-    nv = _norm(v)
-    v /= nv
-    estimate = 0.0
-    for _ in range(POWER_ITERATION_CAP):
-        z = a @ v
-        new_estimate = _norm(z)
-        if new_estimate == 0.0:
-            return 0.0
-        v = a.T @ (z / new_estimate)
-        nv = _norm(v)
-        if nv == 0.0:
-            return new_estimate
-        v /= nv
-        if abs(new_estimate - estimate) <= tol * new_estimate:
-            return new_estimate
-        estimate = new_estimate
-    return estimate
-
-
-def spd_inv_sqrt(m, rank_tol: float = 1e-10) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Raises RankDeficiencyError when the smallest eigenvalue falls at or
-    below rank_tol times the largest, and ValueError when the input is not
-    symmetric to within 1e-10 of its Frobenius norm.
-    """
-    a = _as_matrix(m)
-    d = a.shape[0]
-    if a.shape[1] != d:
-        raise ValueError(f"spd_inv_sqrt needs a square matrix, got {a.shape}")
-    scale = _norm(a)
-    if _norm(a - a.T) > 1e-10 * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric within tolerance")
-    w, v = eigh_jacobi(a)
-    wmax = float(w[-1])
-    if wmax <= 0.0 or float(w[0]) <= rank_tol * wmax:
-        raise RankDeficiencyError(
-            f"eigenvalue range [{w[0]:.3e}, {wmax:.3e}] fails rank_tol={rank_tol:.1e}"
-        )
-    root = (v * (1.0 / np.sqrt(w))) @ v.T
-    return (root + root.T) / 2.0
+    return np.ldexp(sig, e)
 
 
 def _solve_upper(r: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ The central quantity is distortion: with Ã = SA and A of full column rank,
     eta = || I - (AᵀA)^{-1/2} ÃᵀÃ (AᵀA)^{-1/2} ||_2
 
 Two permanently separate code paths compute it.  ``distortion`` evaluates
-the formula literally through ``spd_inv_sqrt``; ``distortion_via_basis``
-uses the algebraic identity eta = max_i |1 - sigma_i(SU)^2| for an
-orthonormal basis U of A's column space.  They stay as mutual oracles; the
+the formula, with (AᵀA)^{-1/2} = V Σ^{-1} Vᵀ from the SVD of A and the norm
+as the largest singular value; ``distortion_via_basis`` uses the algebraic
+identity eta = max_i |1 - sigma_i(SU)^2| for an orthonormal basis U of A's
+column space.  They stay as mutual oracles; the
 basis route is what sweeps use (it is faster and better conditioned).
 
 ``check_subspace_embedding`` records two epsilon conventions side by side,
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankDeficiencyError, singular_values, spd_inv_sqrt, spectral_norm
+from .linalg import RankDeficiencyError, singular_values, svd
 from .rng import Prng
 from .sketch import SketchOperator, sketch_apply
 
@@ -57,9 +58,9 @@ def _fro(a: np.ndarray) -> float:
 def distortion(a, a_sketched) -> DistortionResult:
     """Distortion by the defining formula; raises on rank-deficient A.
 
-    Full column rank means the smallest singular value of A exceeds 1e-10
-    times the largest; the inverse square root then exists (the matching
-    eigenvalue tolerance on AᵀA is the square, 1e-20).
+    Full column rank means at least as many rows as columns and a smallest
+    singular value of A above 1e-10 times the largest; the inverse square
+    root (AᵀA)^{-1/2} then exists.
     """
     a = np.asarray(a, dtype=np.float64)
     at = np.asarray(a_sketched, dtype=np.float64)
@@ -67,15 +68,18 @@ def distortion(a, a_sketched) -> DistortionResult:
         raise ValueError(
             f"need matrices with equal column counts, got {a.shape} and {at.shape}"
         )
-    d = a.shape[1]
-    sig_a = singular_values(a)
+    n, d = a.shape
+    if n < d:
+        raise RankDeficiencyError(f"A is {n}x{d}: fewer rows than columns")
+    res = svd(a)
+    sig_a = res.singular_values
     if sig_a[-1] <= _RANK_TOL * sig_a[0]:
         raise RankDeficiencyError(
             f"singular-value ratio {sig_a[-1]:.3e}/{sig_a[0]:.3e} below {_RANK_TOL:.0e}"
         )
-    w = spd_inv_sqrt(a.T @ a, rank_tol=_RANK_TOL**2)
+    w = (res.V / sig_a) @ res.V.T
     gram = at.T @ at
-    eta = spectral_norm(np.eye(d) - w @ gram @ w, tol=1e-10)
+    eta = singular_values(np.eye(d) - w @ gram @ w)[0]
     sig_su = singular_values(at @ w)
     return DistortionResult(
         eta=float(eta),

@@ -388,6 +388,19 @@ def test_verify_graph_writes_witness_file(tmp_path):
         assert not witness_path.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("verify-graph", "methods = graph:s=4:gamma=8"),
+    ("magical-delta", "methods = graph:s=2"),
+    ("magical-delta", "row_mode = subset"),
+])
+def test_graph_commands_reject_keys_they_would_ignore(tmp_path, capsys, command, extra):
+    cfg_file = tmp_path / "g.cfg"
+    cfg_file.write_text(f"{_VERIFY_GRAPH_CFG}{extra}\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "g.csv")]) == 2
+    assert extra.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_magical_delta_row_per_m(tmp_path):
     cfg_file = tmp_path / "md.cfg"
     cfg_file.write_text("n = 120\ns = 2\nk = 4\nm_values = 20,40\ntrials = 30\nseed = 9\n")

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +9,8 @@ from hypothesis import strategies as st
 from sketchbench.linalg import (
     RankDeficiencyError,
     SvdResult,
-    eigh_jacobi,
     lstsq_exact,
     singular_values,
-    spd_inv_sqrt,
-    spectral_norm,
     svd,
     thin_qr,
 )
@@ -105,10 +105,10 @@ def test_svd_zero_matrix():
 
 
 def test_svd_matches_jacobi_eigen_oracle():
-    # independent route: eigenvalues of the Gram matrix via two-sided Jacobi
+    # independent route: eigenvalues of the Gram matrix
     a = gen_gaussian(30, 8, Prng(23))
     s = svd(a).singular_values
-    w, _ = eigh_jacobi(a.T @ a)
+    w = np.linalg.eigvalsh(a.T @ a)
     np.testing.assert_allclose(np.sort(s**2), np.sort(w), rtol=1e-8)
 
 
@@ -174,6 +174,21 @@ def test_singular_values_tiny_column_norms_do_not_underflow(seed):
     )
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+def test_singular_values_scale_with_input(c):
+    # squared norms of c * A leave the float64 range unless A is prescaled
+    a = gen_gaussian(40, 12, Prng(50))
+    want = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(singular_values(c * a) / c, want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(singular_values(c * a.T) / c, want, rtol=1e-13, atol=0)
+    res = svd(c * a)
+    sig = res.singular_values / c
+    np.testing.assert_allclose(sig, want, rtol=1e-13, atol=0)
+    assert fro(res.U.T @ res.U - np.eye(12)) < 1e-12
+    assert fro(res.V.T @ res.V - np.eye(12)) < 1e-12
+    assert fro(a - (res.U * sig) @ res.V.T) < 1e-13 * fro(a)
+
+
 # ---------------------------------------------------------------------------
 # truncated SVD
 
@@ -188,35 +203,11 @@ def test_truncate_eckart_young_residual_identity():
 
 
 # ---------------------------------------------------------------------------
-# eigh_jacobi
-
-
-def test_eigh_known_2x2():
-    w, v = eigh_jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
-    assert fro(v.T @ v - np.eye(2)) < 1e-12
-
-
-def test_eigh_matches_numpy():
-    g = gen_gaussian(20, 20, Prng(32))
-    m = (g + g.T) / 2
-    w, v = eigh_jacobi(m)
-    w_np = np.linalg.eigvalsh(m)
-    np.testing.assert_allclose(w, w_np, rtol=1e-9, atol=1e-9)
-    assert fro(v @ np.diag(w) @ v.T - m) < 1e-8 * fro(m)
-
-
-def test_eigh_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        eigh_jacobi(np.zeros((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# spectral_norm
+# spectral norm: the largest singular value
 
 
 def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([2.0, 1.0]), tol=1e-10) == pytest.approx(2.0)
+    assert singular_values(np.diag([2.0, 1.0]))[0] == pytest.approx(2.0)
 
 
 def test_spectral_norm_rank_one_analytic():
@@ -224,77 +215,30 @@ def test_spectral_norm_rank_one_analytic():
     v = Prng(34).normal(50)
     a = np.outer(u, v)
     expected = fro(u[None, :]) * fro(v[None, :])
-    assert spectral_norm(a, tol=1e-8) == pytest.approx(expected, rel=1e-7)
+    assert singular_values(a)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_norm_matches_svd_small():
     g = gen_gaussian(40, 40, Prng(35))
     m = (g + g.T) / 2
-    assert spectral_norm(m, tol=1e-8) == pytest.approx(
-        float(svd(m).singular_values[0]), rel=1e-7
-    )
-
-
-def test_spectral_norm_power_iteration_path():
-    # 100x80 exercises the >= 64 power-iteration branch
-    a = gen_gaussian(100, 80, Prng(36))
-    got = spectral_norm(a, tol=1e-9)
-    want = float(np.linalg.svd(a, compute_uv=False)[0])
-    assert got == pytest.approx(want, rel=1e-6)
+    assert singular_values(m)[0] == pytest.approx(float(svd(m).singular_values[0]), rel=1e-12)
 
 
 def test_spectral_norm_zero():
-    assert spectral_norm(np.zeros((70, 70)), tol=1e-6) == 0.0
-    assert spectral_norm(np.zeros((5, 5)), tol=1e-6) == 0.0
-
-
-def test_spectral_norm_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        spectral_norm(np.eye(2), tol=0.0)
+    assert singular_values(np.zeros((70, 70)))[0] == 0.0
+    assert singular_values(np.zeros((5, 5)))[0] == 0.0
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_spectral_at_most_frobenius(n, d, seed):
     a = gen_gaussian(n, d, Prng(seed))
-    assert spectral_norm(a, tol=1e-9) <= np.linalg.norm(a) * (1 + 1e-9)
+    assert singular_values(a)[0] <= np.linalg.norm(a) * (1 + 1e-9)
 
 
 def test_spectral_equals_frobenius_for_rank_one():
     a = np.outer(Prng(37).normal(9), Prng(38).normal(7))
-    assert spectral_norm(a, tol=1e-9) == pytest.approx(np.linalg.norm(a), rel=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# spd_inv_sqrt
-
-
-def test_spd_inv_sqrt_identity():
-    np.testing.assert_allclose(spd_inv_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
-
-
-def test_spd_inv_sqrt_diagonal():
-    got = spd_inv_sqrt(np.diag([4.0, 9.0]))
-    np.testing.assert_allclose(got, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
-
-
-def test_spd_inv_sqrt_random_residual():
-    g = gen_gaussian(12, 12, Prng(39))
-    m = g.T @ g + np.eye(12)
-    w = spd_inv_sqrt(m)
-    assert fro(w - w.T) < 1e-12 * fro(w)
-    assert spectral_norm(w @ m @ w - np.eye(12), tol=1e-8) < 1e-8
-
-
-def test_spd_inv_sqrt_rank_deficient():
-    v = Prng(40).normal(5)
-    with pytest.raises(RankDeficiencyError):
-        spd_inv_sqrt(np.outer(v, v))
-
-
-def test_spd_inv_sqrt_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        spd_inv_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert singular_values(a)[0] == pytest.approx(np.linalg.norm(a), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +262,7 @@ def test_lstsq_normal_equation_residual():
     b = Prng(45).normal(100)
     x = lstsq_exact(a, b)
     resid = a.T @ (a @ x - b)
-    assert fro(resid[None, :]) < 1e-8 * spectral_norm(a, tol=1e-9) * fro(b[None, :])
+    assert fro(resid[None, :]) < 1e-8 * np.linalg.norm(a, 2) * fro(b[None, :])
 
 
 def test_lstsq_matches_numpy():
@@ -340,3 +284,56 @@ def test_lstsq_rejects_wide_and_bad_b():
         lstsq_exact(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         lstsq_exact(np.eye(3), np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# the core stays free of numpy.linalg
+
+
+def _numpy_linalg_uses(source: str) -> list[int]:
+    """Line numbers of code (not prose) that reaches numpy's linalg module."""
+    tree = ast.parse(source)
+    aliases = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(al.asname for al in node.names if al.name == "numpy" and al.asname)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(al.name.startswith("numpy.linalg") for al in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.linalg") or (
+                module == "numpy" and any(al.name == "linalg" for al in node.names)
+            )
+        elif isinstance(node, ast.Attribute):
+            hit = (
+                node.attr == "linalg"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("code, lines", [
+    ('"""calls no ``numpy.linalg.svd``."""\n# np.linalg.eigh(m)\n', []),
+    ("import numpy as xp\n\nxp.linalg.eigh(m)\n", [3]),
+    ("import numpy\nnumpy.linalg.norm(x)\n", [2]),
+    ("from numpy import linalg\n", [1]),
+    ("from numpy.linalg import eigh\n", [1]),
+    ("import numpy.linalg as la\n", [1]),
+])
+def test_numpy_linalg_guard_sees_code_not_prose(code, lines):
+    assert _numpy_linalg_uses(code) == lines
+
+
+def test_src_does_not_use_numpy_linalg():
+    src = Path(__file__).resolve().parents[1] / "src" / "sketchbench"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = {f.name: _numpy_linalg_uses(f.read_text()) for f in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}

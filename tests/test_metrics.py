@@ -64,6 +64,13 @@ def test_distortion_rejects_rank_deficient():
         distortion(a, a)
 
 
+def test_distortion_rejects_wide_input():
+    # a 3x5 A has rank at most 3; its Gram matrix has no inverse square root
+    a = gen_gaussian(3, 5, Prng(115))
+    with pytest.raises(RankDeficiencyError):
+        distortion(a, a)
+
+
 def test_distortion_rejects_column_mismatch():
     with pytest.raises(ValueError):
         distortion(np.eye(4), np.eye(3))
