@@ -4,13 +4,17 @@ Usage:
     sketchbench <command> [--config FILE] [--profile NAME] [--seed N]
                 [--out FILE] [--threads N]
 
-Commands: distortion-sweep, lowrank-sweep, lsq-bench, verify-graph,
-magical-delta, gen.
-
 Configuration is a flat ``key = value`` text file ('#' starts a comment).
 Later sources override earlier ones: built-in defaults, then the selected
 profile, then the config file, then the SKETCHBENCH_SEED environment
 variable, then command-line flags.
+
+Each concept is declared once.  ``KEYS`` gives every config key its type
+and default (``ExperimentConfig`` has one field per key); ``COMMANDS`` gives
+every command (the README describes each) its runner and the keys it cannot
+run without; ``run_units`` formats the CSV row in the columns of
+``CSV_HEADER``.  A config that lacks any of its command's keys is refused,
+naming every missing one, before the output is opened.
 
 Every sweep command runs on one engine, ``run_units``: the command checks
 its inputs and supplies one work unit, a function of (method, m, trial) and
@@ -53,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import BudgetExceededError, estimate_magical_delta, verify_expansion
-from .linalg import ConvergenceError, RankDeficiencyError, thin_qr
+from .linalg import RANK_TOL, ConvergenceError, RankDeficiencyError, thin_qr
 from .matrices import (
     densify,
     gen_gaussian,
@@ -66,49 +70,29 @@ from .pipelines import lowrank_approx, sketch_and_solve_lsq
 from .rng import Prng
 from .sketch import gaussian_sketch_new, graph_sketch_new, sketch_to_graph
 
-COMMANDS = (
-    "distortion-sweep",
-    "lowrank-sweep",
-    "lsq-bench",
-    "verify-graph",
-    "magical-delta",
-    "gen",
-)
-
 CSV_HEADER = (
     "command,dataset,method,n,d,s,gamma,m_requested,m_effective,"
     "k,trial,seed,metric_name,metric_value,wall_time_ms"
 )
 
-_CONFIG_KEYS = {
-    "input": str,
-    "methods": str,
-    "m_values": str,
-    "k": int,
-    "eps": float,
-    "trials": int,
-    "seed": int,
-    "output": str,
-    "threads": int,
-    "row_mode": str,
-    "n": int,
-    "s": int,
+# every config key: (type of a text value, built-in default)
+KEYS = {
+    "input": (str, None),
+    "methods": (str, "graph:s=2"),
+    "m_values": (str, None),
+    "k": (int, 10),
+    "eps": (float, 0.5),
+    "trials": (int, 10),
+    "seed": (int, 12345),
+    "output": (str, None),
+    "threads": (int, 1),
+    "row_mode": (str, "block"),
+    "n": (int, None),
+    "s": (int, None),
 }
 
-_DEFAULTS = {
-    "input": None,
-    "methods": "graph:s=2",
-    "m_values": None,
-    "k": 10,
-    "eps": 0.5,
-    "trials": 10,
-    "seed": 12345,
-    "output": None,
-    "threads": 1,
-    "row_mode": "block",
-    "n": None,
-    "s": None,
-}
+# the commands that build their one graph from the n and s keys
+_GRAPH_COMMANDS = ("verify-graph", "magical-delta")
 
 _SWEEP_METHODS = "graph:s=1,graph:s=2,graph:s=4,gaussian"
 
@@ -225,34 +209,6 @@ class ExperimentConfig:
     s: int | None
 
 
-@dataclass
-class SweepRow:
-    command: str
-    dataset: str
-    method: str
-    n: int
-    d: int
-    s: int
-    gamma: str
-    m_requested: int
-    m_effective: int
-    k: int
-    trial: int
-    seed: int
-    metric_name: str
-    metric_value: float
-    wall_time_ms: float
-
-    def to_line(self) -> str:
-        value = repr(float(self.metric_value))
-        return (
-            f"{self.command},{self.dataset},{self.method},{self.n},{self.d},"
-            f"{self.s},{self.gamma},{self.m_requested},{self.m_effective},"
-            f"{self.k},{self.trial},{self.seed},{self.metric_name},"
-            f"{value},{self.wall_time_ms:.3f}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # configuration assembly
 
@@ -270,18 +226,16 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = val
     return out
 
 
 def _coerce(key: str, raw) -> object:
-    if raw is None:
-        return None
-    if isinstance(raw, (int, float)):
+    if raw is None or isinstance(raw, (int, float)):
         return raw
-    caster = _CONFIG_KEYS[key]
+    caster = KEYS[key][0]
     try:
         return caster(raw)
     except ValueError:
@@ -312,38 +266,23 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         chosen.update(PROFILES[args.profile])
     if args.config is not None:
         chosen.update(_parse_config_file(args.config))
-    if args.command in ("verify-graph", "magical-delta") and "methods" in chosen:
+    if args.command in _GRAPH_COMMANDS and "methods" in chosen:
         raise ConfigError(f"{args.command} builds its graph from the n and s keys, not methods")
-    merged: dict[str, object] = {**_DEFAULTS, **chosen}
-    env_seed = os.environ.get("SKETCHBENCH_SEED")
-    if env_seed is not None:
-        merged["seed"] = env_seed
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.out is not None:
-        merged["output"] = args.out
-    if args.threads is not None:
-        merged["threads"] = args.threads
+    merged = {key: default for key, (_, default) in KEYS.items()} | chosen
+    # then the environment, then the flags: each set one overrides what came before
+    for key, value in (("seed", os.environ.get("SKETCHBENCH_SEED")), ("seed", args.seed),
+                       ("output", args.out), ("threads", args.threads)):
+        if value is not None:
+            merged[key] = value
 
-    typed = {key: _coerce(key, merged[key]) for key in _CONFIG_KEYS}
-    methods = tuple(parse_method(part) for part in str(typed["methods"]).split(",") if part.strip())
-    if not methods:
-        raise ConfigError("at least one method is required")
-    cfg = ExperimentConfig(
-        command=args.command,
-        input=typed["input"],
-        methods=methods,
-        m_values=_parse_m_values(typed["m_values"]),
-        k=int(typed["k"]),
-        eps=float(typed["eps"]),
-        trials=int(typed["trials"]),
-        seed=int(typed["seed"]),
-        output=typed["output"],
-        threads=int(typed["threads"]),
-        row_mode=str(typed["row_mode"]),
-        n=typed["n"],
-        s=typed["s"],
+    typed = {key: _coerce(key, merged[key]) for key in KEYS}
+    typed["methods"] = tuple(
+        parse_method(part) for part in typed["methods"].split(",") if part.strip()
     )
+    if not typed["methods"]:
+        raise ConfigError("at least one method is required")
+    typed["m_values"] = _parse_m_values(typed["m_values"])
+    cfg = ExperimentConfig(command=args.command, **typed)
     _validate_config(cfg)
     return cfg
 
@@ -357,21 +296,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.row_mode not in ("block", "subset"):
         raise ConfigError(f"row_mode must be block or subset, got {cfg.row_mode!r}")
-    if cfg.command in ("distortion-sweep", "lowrank-sweep", "lsq-bench", "gen"):
-        if cfg.input is None:
-            raise ConfigError(f"{cfg.command} requires an input spec or path")
-    if cfg.command in ("distortion-sweep", "lowrank-sweep", "lsq-bench", "verify-graph", "magical-delta"):
-        if not cfg.m_values:
-            raise ConfigError(f"{cfg.command} requires m_values")
-    if cfg.command in ("verify-graph", "magical-delta"):
-        if cfg.n is None or cfg.s is None:
-            raise ConfigError(f"{cfg.command} requires the n and s config keys")
-        if not 1 <= cfg.k <= cfg.n:
-            raise ConfigError(f"need 1 <= k <= n, got k={cfg.k}, n={cfg.n}")
+    missing = [key for key in COMMANDS[cfg.command][1] if getattr(cfg, key) in (None, ())]
+    if missing:
+        raise ConfigError(f"{cfg.command} requires {' and '.join(missing)}")
+    if cfg.command in _GRAPH_COMMANDS and not 1 <= cfg.k <= cfg.n:
+        raise ConfigError(f"need 1 <= k <= n, got k={cfg.k}, n={cfg.n}")
+    if cfg.command == "verify-graph" and not 0.0 < cfg.eps < 1.0:
+        raise ConfigError(f"eps must be in (0, 1), got {cfg.eps}")
     if cfg.command == "magical-delta" and cfg.row_mode != "block":
         raise ConfigError("magical-delta estimates block-mode sketches only; drop row_mode")
-    if cfg.command == "gen" and cfg.output is None:
-        raise ConfigError("gen requires --out (the .mtx destination)")
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +368,9 @@ def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
 
     ``unit(method, m, m_eff, trial, stream)`` returns ``(metric_name, value)``
     for one work unit; the engine derives the unit's stream, times it and
-    builds its row.  The result is an iterator, so a caller can write each
-    row as soon as it and every earlier one are done.
+    formats its CSV line, in the columns of ``CSV_HEADER``.  The result is an
+    iterator, so a caller can write each row as soon as it and every earlier
+    one are done.
     """
     master = Prng(cfg.seed)
     items = [
@@ -452,12 +386,12 @@ def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
         m_eff = method.effective_m(m)
         stream = _trial_stream(master, cfg.command, method.label, m, trial)
         metric_name, value = unit(method, m, m_eff, trial, stream)
-        return SweepRow(
-            command=cfg.command, dataset=dataset, method=method.label,
-            n=n, d=d, s=method.s, gamma=method.gamma_text,
-            m_requested=m, m_effective=m_eff, k=k, trial=trial, seed=cfg.seed,
-            metric_name=metric_name, metric_value=value,
-            wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        wall_time_ms = (time.perf_counter() - t0) * 1000.0
+        # float() first: under numpy 2 the repr of an np.float64 is np.float64(...)
+        return (
+            f"{cfg.command},{dataset},{method.label},{n},{d},{method.s},{method.gamma_text},"
+            f"{m},{m_eff},{k},{trial},{cfg.seed},{metric_name},{float(value)!r},"
+            f"{wall_time_ms:.3f}"
         )
 
     return _pool_map(work, items, cfg.threads)
@@ -476,7 +410,7 @@ def run_distortion_sweep(cfg: ExperimentConfig):
         )
     basis, r = thin_qr(a)
     diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
+    if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
         raise RankDeficiencyError("input matrix is rank deficient; distortion is undefined")
 
     def unit(method, m, m_eff, trial, stream):
@@ -570,13 +504,14 @@ def run_gen(cfg: ExperimentConfig) -> None:
     sys.stderr.write(f"wrote {data.n}x{data.d} matrix to {cfg.output}\n")
 
 
-_RUNNERS = {
-    "distortion-sweep": run_distortion_sweep,
-    "lowrank-sweep": run_lowrank_sweep,
-    "lsq-bench": run_lsq_bench,
-    "verify-graph": run_verify_graph,
-    "magical-delta": run_magical_delta,
-    "gen": run_gen,
+# every command: its runner, and the config keys it cannot run without
+COMMANDS = {
+    "distortion-sweep": (run_distortion_sweep, ("input", "m_values")),
+    "lowrank-sweep": (run_lowrank_sweep, ("input", "m_values")),
+    "lsq-bench": (run_lsq_bench, ("input", "m_values")),
+    "verify-graph": (run_verify_graph, ("m_values", "n", "s")),
+    "magical-delta": (run_magical_delta, ("m_values", "n", "s")),
+    "gen": (run_gen, ("input", "output")),
 }
 
 
@@ -589,7 +524,7 @@ def _write_csv(rows, output: str | None) -> None:
     with open(output, "w") if output is not None else nullcontext(sys.stdout) as out:
         out.write(CSV_HEADER + "\n")
         for row in rows:
-            out.write(row.to_line() + "\n")
+            out.write(row + "\n")
             out.flush()
 
 
@@ -614,12 +549,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        rows = _RUNNERS[cfg.command](cfg)
+        rows = COMMANDS[cfg.command][0](cfg)
         if rows is not None:
             _write_csv(rows, cfg.output)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
     except (RankDeficiencyError, BudgetExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4

@@ -18,6 +18,9 @@ Algorithm choices, pinned for reproducibility:
   capped at 60; hitting the cap raises ConvergenceError carrying the worst
   remaining off-diagonal ratio.  This is the only rotation loop in the
   package: every spectrum, the spectral norm included, comes from it.
+* ``lstsq_exact``: thin QR of A and back substitution, with A and b each
+  prescaled by their own power of two in the same way, so the solution is
+  right at any input scale too.  ``thin_qr`` on its own is not prescaled.
 
 Sign convention for the SVD: each column of U has its largest-magnitude
 entry positive (ties broken by lowest row index), with the matching V column
@@ -33,6 +36,8 @@ import numpy as np
 
 JACOBI_SWEEP_CAP = 60
 _JACOBI_TOL = 1e-14
+# full column rank: smallest R diagonal or singular value above this times the largest
+RANK_TOL = 1e-10
 
 __all__ = [
     "ConvergenceError",
@@ -212,11 +217,17 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
             v[:, j] = -v[:, j]
 
 
+def _prescale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a / 2**e, e) with max|a| < 2**e <= 2 max|a|; exact, keeps squares in range."""
+    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(a, -e), e
+
+
 def _jacobi_columns(a, accumulate_v: bool):
     """The start that svd and singular_values share.
 
-    A wide input is transposed so the rest sees n >= d, then divided by 2**e
-    with e from frexp(max|a|), then factored as Q w; the columns of w are
+    A wide input is transposed so the rest sees n >= d, then prescaled by
+    2**e (``_prescale``), then factored as Q w; the columns of w are
     orthogonalized in place.  Returns (q, w, sig, v, e, transposed): sig holds
     the column norms of w, that is the singular values of the scaled input,
     unsorted; 2**e * sig are those of the input.
@@ -225,8 +236,8 @@ def _jacobi_columns(a, accumulate_v: bool):
     transposed = a.shape[0] < a.shape[1]
     if transposed:
         a = a.T
-    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    q, w = thin_qr(np.ldexp(a, -e))
+    a, e = _prescale(a)
+    q, w = thin_qr(a)
     v = _one_sided_jacobi(w, accumulate_v)
     sig = np.sqrt(np.sum(w * w, axis=0))
     return q, w, sig, v, e, transposed
@@ -276,7 +287,8 @@ def lstsq_exact(a, b) -> np.ndarray:
     """Least-squares solution argmin_x of the residual norm, via thin QR.
 
     Requires n >= d and numerically full column rank (R diagonal bounded
-    away from zero relative to its largest entry).
+    away from zero relative to its largest entry).  A and b are prescaled
+    separately, as in svd, so the result is right at any input scale.
     """
     a = _as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
@@ -285,10 +297,12 @@ def lstsq_exact(a, b) -> np.ndarray:
     n, d = a.shape
     if n < d:
         raise ValueError(f"lstsq_exact needs n >= d, got {n}x{d}")
+    a, ea = _prescale(a)
+    b, eb = _prescale(b)
     q, r = thin_qr(a)
     diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
+    if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
         raise RankDeficiencyError(
             f"R diagonal range [{diag.min():.3e}, {diag.max():.3e}] indicates rank deficiency"
         )
-    return _solve_upper(r, q.T @ b)
+    return np.ldexp(_solve_upper(r, q.T @ b), eb - ea)

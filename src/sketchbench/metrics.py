@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankDeficiencyError, singular_values, svd
+from .linalg import RANK_TOL, RankDeficiencyError, singular_values, svd
 from .rng import Prng
 from .sketch import SketchOperator, sketch_apply
 
-_RANK_TOL = 1e-10
 _UNIT_TOL = 1e-10
 
 
@@ -73,9 +72,9 @@ def distortion(a, a_sketched) -> DistortionResult:
         raise RankDeficiencyError(f"A is {n}x{d}: fewer rows than columns")
     res = svd(a)
     sig_a = res.singular_values
-    if sig_a[-1] <= _RANK_TOL * sig_a[0]:
+    if sig_a[-1] <= RANK_TOL * sig_a[0]:
         raise RankDeficiencyError(
-            f"singular-value ratio {sig_a[-1]:.3e}/{sig_a[0]:.3e} below {_RANK_TOL:.0e}"
+            f"singular-value ratio {sig_a[-1]:.3e}/{sig_a[0]:.3e} below {RANK_TOL:.0e}"
         )
     w = (res.V / sig_a) @ res.V.T
     gram = at.T @ at

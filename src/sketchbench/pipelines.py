@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lstsq_exact, singular_values, svd, thin_qr
+from .linalg import RANK_TOL, lstsq_exact, singular_values, svd, thin_qr
 from .matrices import densify
 from .sketch import SketchOperator, sketch_apply
 
 _ZERO_REL = 1e-10
-_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -112,7 +111,7 @@ def lowrank_approx(a, k: int, op: SketchOperator) -> LowRankResult:
         # product spans the same row space and caps the basis at d
         q, r = thin_qr(y.T @ y)
     diag = np.abs(np.diag(r))
-    rank_deficient = bool(diag.max() == 0.0 or np.sum(diag > _RANK_TOL * diag.max()) < k)
+    rank_deficient = bool(diag.max() == 0.0 or np.sum(diag > RANK_TOL * diag.max()) < k)
     b = a @ q
     w_k = svd(b).V[:, :k]
     v_k = q @ w_k

@@ -1,4 +1,6 @@
 import argparse
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +403,14 @@ def test_graph_commands_reject_keys_they_would_ignore(tmp_path, capsys, command,
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_verify_graph_rejects_eps_before_opening_the_output(tmp_path, capsys):
+    cfg_file = tmp_path / "g.cfg"
+    cfg_file.write_text(_VERIFY_GRAPH_CFG.replace("eps = 0.5", "eps = 1.5"))
+    assert main(["verify-graph", "--config", str(cfg_file), "--out", str(tmp_path / "g.csv")]) == 2
+    assert "eps" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_magical_delta_row_per_m(tmp_path):
     cfg_file = tmp_path / "md.cfg"
     cfg_file.write_text("n = 120\ns = 2\nk = 4\nm_values = 20,40\ntrials = 30\nseed = 9\n")
@@ -425,6 +435,23 @@ def test_gen_then_sweep_from_file(tmp_path):
     assert rows[0][3] == "48" and rows[0][4] == "4"
 
 
+@pytest.mark.parametrize("command, overrides, want", [
+    ("distortion-sweep", dict(m_values="13", trials="1"),
+     "distortion-sweep,gen:gaussian:96x6,graph:s=2,96,6,2,full,13,14,6,0,31,distortion"),
+    ("lsq-bench", dict(input="gen:gaussian:400x6", methods="graph:s=4:gamma=4",
+                       m_values="30", trials="1"),
+     "lsq-bench,gen:gaussian:400x6,graph:s=4:gamma=4,400,6,4,4,30,32,6,0,31,lsq_ratio"),
+])
+def test_row_format_is_pinned(tmp_path, command, overrides, want):
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", _write_sweep_cfg(tmp_path, **overrides),
+                 "--out", str(out)]) == 0
+    row = _rows(out)[0]
+    assert ",".join(row[:13]) == want
+    assert row[13] == repr(float(row[13])) and "np.float64" not in row[13]
+    assert re.fullmatch(r"\d+\.\d{3}", row[14])
+
+
 def test_gamma_method_in_sweep(tmp_path):
     cfg = _write_sweep_cfg(tmp_path, methods="graph:s=2:gamma=4", m_values="12", trials="1")
     out = tmp_path / "g.csv"
@@ -441,3 +468,20 @@ def test_unknown_command_exits_2(capsys):
 
 def test_bad_config_path_exits_2(tmp_path):
     assert main(["distortion-sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the README is the one copy of the key and command tables outside cli.py
+
+
+def _readme_section(heading):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index(heading)
+    return text[start : text.index("\n##", start + 1)]
+
+
+def test_readme_names_every_config_key_and_command():
+    keys = _readme_section("\n### Config files\n")
+    assert [key for key in cli.KEYS if f"`{key}`" not in keys] == []
+    commands = _readme_section("\nCommands:\n")
+    assert [name for name in cli.COMMANDS if f"- `{name}`" not in commands] == []

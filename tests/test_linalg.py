@@ -272,6 +272,16 @@ def test_lstsq_matches_numpy():
     np.testing.assert_allclose(lstsq_exact(a, b), x_np, rtol=1e-8, atol=1e-10)
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+def test_lstsq_exact_scale_with_input(c):
+    # (c A) x = c b has the solution of A x = b; unscaled, R and Q^T b leave the float64 range
+    a = gen_gaussian(40, 12, Prng(50))
+    b = Prng(51).normal(40)
+    want, *_ = np.linalg.lstsq(a, b, rcond=None)
+    err = np.max(np.abs(lstsq_exact(c * a, c * b) - want))
+    assert err <= 1e-13 * np.max(np.abs(want))
+
+
 def test_lstsq_rank_deficient_raises():
     a = gen_gaussian(20, 4, Prng(48))
     a[:, 2] = a[:, 0] + a[:, 1]
