@@ -301,6 +301,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.command} requires {' and '.join(missing)}")
     if cfg.command in _GRAPH_COMMANDS and not 1 <= cfg.k <= cfg.n:
         raise ConfigError(f"need 1 <= k <= n, got k={cfg.k}, n={cfg.n}")
+    if cfg.command in _GRAPH_COMMANDS and cfg.s < 1:
+        raise ConfigError(f"s must be >= 1, got {cfg.s}")
     if cfg.command == "verify-graph" and not 0.0 < cfg.eps < 1.0:
         raise ConfigError(f"eps must be in (0, 1), got {cfg.eps}")
     if cfg.command == "magical-delta" and cfg.row_mode != "block":

@@ -7,20 +7,26 @@ independent oracle.
 Algorithm choices, pinned for reproducibility:
 
 * ``thin_qr``: Householder reflections, reduced form, with the diagonal of R
-  made nonnegative by sign flips (deterministic output).
-* ``svd`` and ``singular_values``: one-sided Jacobi rotations after a QR
-  preprocessing step, so the rotation phase always runs on a square
-  min(n,d) matrix.  The input is first divided by the power of two 2**e
-  with max|a| < 2**e <= 2 max|a|, and the singular values are multiplied
-  back at the end; the scaling is exact, and it keeps the squared norms
-  inside the float64 range for any input scale.  Column norms are tracked
-  with the Rutishauser update and refreshed once per sweep.  Sweeps are
-  capped at 60; hitting the cap raises ConvergenceError carrying the worst
-  remaining off-diagonal ratio.  This is the only rotation loop in the
-  package: every spectrum, the spectral norm included, comes from it.
-* ``lstsq_exact``: thin QR of A and back substitution, with A and b each
-  prescaled by their own power of two in the same way, so the solution is
-  right at any input scale too.  ``thin_qr`` on its own is not prescaled.
+  made nonnegative by sign flips (deterministic output).  The input is
+  first divided by the power of two 2**e with max|a| < 2**e <= 2 max|a|,
+  and R is multiplied back at the end; the scaling is exact, and it keeps
+  the squared norms inside the float64 range for any input scale.  One
+  private Householder core does this prescale for every routine here, and
+  forms Q only for ``thin_qr``, ``svd`` and ``lstsq_exact``.
+* ``svd`` and ``singular_values``: one-sided Jacobi rotations after that
+  QR, so the rotation phase always runs on a square min(n,d) matrix;
+  ``singular_values`` takes R without ever forming Q.  A sweep visits the
+  column pairs in round-robin order (Brent & Luk 1985): d - 1 rounds of
+  d/2 disjoint pairs, or d rounds with one column sitting out each round
+  when d is odd, so a whole round is rotated at once by array operations.
+  Column norms are tracked with the Rutishauser update and refreshed once
+  per sweep.  Sweeps are capped at 60; hitting the cap raises
+  ConvergenceError carrying the worst remaining off-diagonal ratio.  This
+  is the only rotation loop in the package: every spectrum, the spectral
+  norm included, comes from it.
+* ``lstsq_exact``: thin QR of A and back substitution, with b prescaled by
+  its own power of two in the same way, so the solution is right at any
+  input scale too.
 
 Sign convention for the SVD: each column of U has its largest-magnitude
 entry positive (ties broken by lowest row index), with the matching V column
@@ -90,18 +96,29 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of an n x d matrix with n >= d.
+def _prescale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a / 2**e, e) with max|a| < 2**e <= 2 max|a|; exact, keeps squares in range.
 
-    Returns (Q, R) with Q n x d orthonormal and R d x d upper triangular
-    with nonnegative diagonal.  Rank deficiency is permitted; R then has
-    zero (or tiny) diagonal entries.
+    The result is a new row-major array, whatever the layout of a: the
+    Householder sums run in the order that layout gives them.
+    """
+    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(a, -e, order="C"), e
+
+
+def _householder_qr(a, form_q: bool) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """The reduced QR that thin_qr, svd, singular_values and lstsq_exact share.
+
+    Prescales a by 2**e (``_prescale``) and returns (q, r, e): a = 2**e q r,
+    with r upper triangular with nonnegative diagonal, and q None unless
+    ``form_q``.  A power of two commutes exactly with every Householder
+    step, so r is the unscaled R times 2**-e bit for bit in the normal range.
     """
     a = _as_matrix(a)
     n, d = a.shape
     if n < d:
         raise ValueError(f"thin_qr needs n >= d, got {n}x{d}")
-    r = a.copy()
+    r, e = _prescale(a)
     reflectors: list[np.ndarray | None] = []
     for k in range(d):
         x = r[k:, k]
@@ -118,6 +135,10 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
         r[k + 1 :, k] = 0.0
         reflectors.append(v)
     r_out = np.triu(r[:d, :])
+    flip = np.where(np.diag(r_out) < 0.0, -1.0, 1.0)
+    r_out *= flip[:, None]
+    if not form_q:
+        return None, r_out, e
     q = np.zeros((n, d))
     q[np.arange(d), np.arange(d)] = 1.0
     for k in range(d - 1, -1, -1):
@@ -126,55 +147,102 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
             continue
         tau = 2.0 / float(v @ v)
         q[k:, :] -= np.outer(tau * v, v @ q[k:, :])
-    flip = np.where(np.diag(r_out) < 0.0, -1.0, 1.0)
-    r_out *= flip[:, None]
     q *= flip[None, :]
-    return q, r_out
+    return q, r_out, e
+
+
+def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of an n x d matrix with n >= d.
+
+    Returns (Q, R) with Q n x d orthonormal and R d x d upper triangular
+    with nonnegative diagonal.  Rank deficiency is permitted; R then has
+    zero (or tiny) diagonal entries.  The input is prescaled, so R is right
+    at any input scale.
+    """
+    q, r, e = _householder_qr(a, form_q=True)
+    return q, np.ldexp(r, e)
+
+
+def _round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seating of one Jacobi sweep over d columns, in rounds of disjoint pairs.
+
+    The circle method of Brent & Luk (1985), on n = d + d % 2 seats: an odd
+    d gets an empty seat d, and its partner has the round off (the bye).
+    Returns (seats, step).  Rows 2i and 2i + 1 of x[seats] hold pair i of
+    the first round; x[step] moves every row on to its seat in the next
+    round.  Seat 0 stays put and the others turn one place round the ring,
+    so n - 1 steps pair every two columns once and bring the seating back
+    to the start.
+    """
+    n = d + d % 2
+
+    def layout(ring: list[int]) -> list[int]:
+        around = [0] + ring
+        return [c for i in range(n // 2) for c in (around[i], around[n - 1 - i])]
+
+    first = layout(list(range(1, n)))
+    second = layout([n - 1] + list(range(1, n - 1)))
+    step = np.argsort(first)[second]
+    return np.array(first), step
 
 
 def _one_sided_jacobi(w: np.ndarray, accumulate_v: bool) -> np.ndarray | None:
     """Orthogonalize the columns of w in place by plane rotations.
 
-    Returns the accumulated right-rotation matrix V (so that the original
-    w equals new_w @ V.T) when requested, else None.
+    A sweep is the n - 1 rounds of ``_round_robin``.  The work is done on a
+    transposed copy, where each column of w is one row, seated so that the
+    pairs of a round are adjacent rows; the pairs are disjoint, so a round
+    computes every pair's rotation as array operations and applies them
+    all as one batched 2 x 2 product.  Returns the accumulated
+    right-rotation matrix V (so that the original w equals new_w @ V.T)
+    when requested, else None.
     """
     d = w.shape[1]
-    v = np.eye(d) if accumulate_v else None
     if d < 2:
-        return v
+        return np.eye(d) if accumulate_v else None
+    seats, step = _round_robin(d)
+    n, k = len(seats), len(seats) // 2
+    xt = np.zeros((n, w.shape[0]))
+    xt[:d] = w.T
+    xt = xt[seats]
+    vt = np.eye(n, d)[seats] if accumulate_v else None
     worst = 0.0
     for _ in range(JACOBI_SWEEP_CAP):
-        norms = np.sum(w * w, axis=0)
+        norms = np.einsum("ij,ij->i", xt, xt)
         worst = 0.0
         rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                npp, nqq = norms[p], norms[q]
-                if npp <= 0.0 or nqq <= 0.0:
-                    continue
-                npq = float(w[:, p] @ w[:, q])
-                # two roots: the product npp * nqq can underflow to 0
-                ratio = abs(npq) / (math.sqrt(npp) * math.sqrt(nqq))
-                worst = max(worst, ratio)
-                if ratio <= _JACOBI_TOL:
-                    continue
-                zeta = (nqq - npp) / (2.0 * npq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
+        for _ in range(n - 1):
+            pairs = xt.reshape(k, 2, -1)
+            npp, nqq = norms[0::2], norms[1::2]
+            npq = np.einsum("ij,ij->i", pairs[:, 0], pairs[:, 1])
+            # a pair with a zero norm is skipped; two roots: npp * nqq can underflow to 0
+            live = (npp > 0.0) & (nqq > 0.0)
+            ratio = np.abs(npq) / np.where(live, np.sqrt(npp) * np.sqrt(nqq), np.inf)
+            worst = max(worst, float(ratio.max()))
+            turn = ratio > _JACOBI_TOL
+            if turn.any():
+                # a pair that does not turn gets t = 0, the identity rotation
+                zeta = (nqq - npp) / (2.0 * np.where(turn, npq, 1.0))
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+                t[~turn] = 0.0
+                cs = 1.0 / np.sqrt(1.0 + t * t)
                 sn = cs * t
-                wp = w[:, p].copy()
-                w[:, p] = cs * wp - sn * w[:, q]
-                w[:, q] = sn * wp + cs * w[:, q]
+                g = np.stack([cs, -sn, sn, cs], axis=1).reshape(k, 2, 2)
+                xt = (g @ pairs).reshape(n, -1)
+                if vt is not None:
+                    vt = (g @ vt.reshape(k, 2, -1)).reshape(n, -1)
                 # Rutishauser norm updates; clamp tiny negative drift
-                norms[p] = max(npp - t * npq, 0.0)
-                norms[q] = max(nqq + t * npq, 0.0)
-                if v is not None:
-                    vp = v[:, p].copy()
-                    v[:, p] = cs * vp - sn * v[:, q]
-                    v[:, q] = sn * vp + cs * v[:, q]
+                norms[0::2] = np.maximum(npp - t * npq, 0.0)
+                norms[1::2] = np.maximum(nqq + t * npq, 0.0)
                 rotated = True
+            xt, norms = xt[step], norms[step]
+            if vt is not None:
+                vt = vt[step]
         if not rotated:
-            return v
+            # n - 1 steps have brought every row back to its first seat
+            unseat = np.argsort(seats)[:d]
+            w[:] = xt[unseat].T
+            return None if vt is None else vt[unseat].T
     raise ConvergenceError(
         f"one-sided Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps", worst
     )
@@ -217,27 +285,20 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
             v[:, j] = -v[:, j]
 
 
-def _prescale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a / 2**e, e) with max|a| < 2**e <= 2 max|a|; exact, keeps squares in range."""
-    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    return np.ldexp(a, -e), e
-
-
 def _jacobi_columns(a, accumulate_v: bool):
     """The start that svd and singular_values share.
 
-    A wide input is transposed so the rest sees n >= d, then prescaled by
-    2**e (``_prescale``), then factored as Q w; the columns of w are
-    orthogonalized in place.  Returns (q, w, sig, v, e, transposed): sig holds
-    the column norms of w, that is the singular values of the scaled input,
-    unsorted; 2**e * sig are those of the input.
+    A wide input is transposed so the rest sees n >= d, then factored as
+    2**e Q w (``_householder_qr``, which forms Q only for svd); the columns
+    of w are orthogonalized in place.  Returns (q, w, sig, v, e, transposed):
+    sig holds the column norms of w, that is the singular values of the
+    scaled input, unsorted; 2**e * sig are those of the input.
     """
     a = _as_matrix(a)
     transposed = a.shape[0] < a.shape[1]
     if transposed:
         a = a.T
-    a, e = _prescale(a)
-    q, w = thin_qr(a)
+    q, w, e = _householder_qr(a, form_q=accumulate_v)
     v = _one_sided_jacobi(w, accumulate_v)
     sig = np.sqrt(np.sum(w * w, axis=0))
     return q, w, sig, v, e, transposed
@@ -297,9 +358,8 @@ def lstsq_exact(a, b) -> np.ndarray:
     n, d = a.shape
     if n < d:
         raise ValueError(f"lstsq_exact needs n >= d, got {n}x{d}")
-    a, ea = _prescale(a)
+    q, r, ea = _householder_qr(a, form_q=True)
     b, eb = _prescale(b)
-    q, r = thin_qr(a)
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
         raise RankDeficiencyError(

@@ -16,9 +16,10 @@ because the literature states the guarantee both on squared singular values
 (|1 - sigma^2| <= eps) and on the values themselves (|1 - sigma| <= eps).
 Neither is canonical here; callers read the boolean they need.
 
-The two Monte Carlo estimators take a ``factory``: a callable mapping a
-Prng to a fresh sketch operator.  Trials use position-independent split
-streams, so estimates are reproducible and schedule-independent.
+The Monte Carlo estimator ``jlt_failure_rate`` takes a ``factory``: a
+callable mapping a Prng to a fresh sketch operator.  Trials use
+position-independent split streams, so estimates are reproducible and
+schedule-independent.
 """
 
 from __future__ import annotations
@@ -147,23 +148,6 @@ def _sketched_norm_sq(factory, x: np.ndarray, rng: Prng, trial: int) -> float:
     op = factory(rng.split(trial))
     sx = sketch_apply(op, x[:, None])
     return float(np.sum(sx * sx))
-
-
-def jl_moment_estimate(factory, x, rho: int, trials: int, rng: Prng) -> float:
-    """Monte Carlo estimate of E |‖Sx‖² − 1|^rho over fresh operators.
-
-    ``factory`` maps a Prng to a sketch operator; x must be a unit vector;
-    rho a positive even integer.
-    """
-    x = _check_unit(x)
-    if rho < 2 or rho % 2 != 0:
-        raise ValueError(f"rho must be a positive even integer, got {rho}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    total = 0.0
-    for t in range(trials):
-        total += abs(_sketched_norm_sq(factory, x, rng, t) - 1.0) ** rho
-    return total / trials
 
 
 def jlt_failure_rate(factory, x, eps: float, trials: int, rng: Prng) -> float:

@@ -411,6 +411,15 @@ def test_verify_graph_rejects_eps_before_opening_the_output(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["verify-graph", "magical-delta"])
+def test_graph_commands_reject_s_below_one_before_opening_the_output(tmp_path, capsys, command):
+    cfg_file = tmp_path / "g.cfg"
+    cfg_file.write_text("n = 60\ns = 0\nk = 2\nm_values = 8\ntrials = 1\nseed = 5\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "g.csv")]) == 2
+    assert "s must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_magical_delta_row_per_m(tmp_path):
     cfg_file = tmp_path / "md.cfg"
     cfg_file.write_text("n = 120\ns = 2\nk = 4\nm_values = 20,40\ntrials = 30\nseed = 9\n")

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchbench import linalg
 from sketchbench.linalg import (
+    ConvergenceError,
     RankDeficiencyError,
     SvdResult,
     lstsq_exact,
@@ -16,7 +19,7 @@ from sketchbench.linalg import (
 )
 from sketchbench.matrices import gen_gaussian
 from sketchbench.rng import Prng
-from sketchbench.sketch import graph_sketch_new, sketch_apply
+from sketchbench.sketch import gaussian_sketch_new, graph_sketch_new, sketch_apply
 
 
 def fro(a):
@@ -187,6 +190,124 @@ def test_singular_values_scale_with_input(c):
     assert fro(res.U.T @ res.U - np.eye(12)) < 1e-12
     assert fro(res.V.T @ res.V - np.eye(12)) < 1e-12
     assert fro(a - (res.U * sig) @ res.V.T) < 1e-13 * fro(a)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+def test_thin_qr_scale_with_input(c):
+    # unscaled, the Householder norms of c * A leave the float64 range
+    a = gen_gaussian(40, 12, Prng(50))
+    _, want = np.linalg.qr(a)
+    want *= np.where(np.diag(want) < 0.0, -1.0, 1.0)[:, None]
+    q, r = thin_qr(c * a)
+    assert np.max(np.abs(r / c - want)) <= 1e-13 * np.max(np.abs(want))
+    assert fro(q.T @ q - np.eye(12)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the round-robin Jacobi kernel against the cyclic loop it replaced
+
+
+def _cyclic_jacobi_reference(w):
+    """The cyclic-order one-sided Jacobi loop, one (p, q) pair at a time.
+
+    Same tolerance, cap, zero-norm skip, two-root ratio and Rutishauser
+    norm updates as ``linalg._one_sided_jacobi``; orthogonalizes w in place.
+    """
+    d = w.shape[1]
+    if d < 2:
+        return
+    for _ in range(linalg.JACOBI_SWEEP_CAP):
+        norms = np.sum(w * w, axis=0)
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                npp, nqq = norms[p], norms[q]
+                if npp <= 0.0 or nqq <= 0.0:
+                    continue
+                npq = float(w[:, p] @ w[:, q])
+                ratio = abs(npq) / (math.sqrt(npp) * math.sqrt(nqq))
+                if ratio <= linalg._JACOBI_TOL:
+                    continue
+                zeta = (nqq - npp) / (2.0 * npq)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cs = 1.0 / math.sqrt(1.0 + t * t)
+                sn = cs * t
+                wp = w[:, p].copy()
+                w[:, p] = cs * wp - sn * w[:, q]
+                w[:, q] = sn * wp + cs * w[:, q]
+                norms[p] = max(npp - t * npq, 0.0)
+                norms[q] = max(nqq + t * npq, 0.0)
+                rotated = True
+        if not rotated:
+            return
+    pytest.fail("the reference loop hit the sweep cap")
+
+
+def _reference_singular_values(a):
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    _, w, e = linalg._householder_qr(a, form_q=False)
+    _cyclic_jacobi_reference(w)
+    return np.ldexp(np.sort(np.sqrt(np.sum(w * w, axis=0)))[::-1], e)
+
+
+def _with_zero_columns():
+    a = gen_gaussian(15, 6, Prng(60))
+    a[:, [1, 4]] = 0.0
+    return a
+
+
+def _tiny_norms(seed):
+    return sketch_apply(graph_sketch_new(40, 18, 2, Prng(seed)), np.eye(40)[:, :20])
+
+
+def _desk(m, s):
+    # S @ U as distortion-desk forms it, for a 1024 x 100 orthonormal U
+    u, _ = thin_qr(gen_gaussian(1024, 100, Prng(61)))
+    rng = Prng(62).split(m)
+    op = gaussian_sketch_new(1024, m, rng) if s is None else graph_sketch_new(1024, m, s, rng)
+    return sketch_apply(op, u)
+
+
+_KERNEL_CASES = {
+    **{f"gauss-d{d}": (lambda d=d: gen_gaussian(20, d, Prng(63 + d))) for d in (1, 2, 3, 7, 12)},
+    "zero-columns": _with_zero_columns,
+    **{f"tiny-norms-{seed}": (lambda seed=seed: _tiny_norms(seed))
+       for seed in (40, 78, 146, 196, 199, 249)},
+    **{f"desk-m{m}-s{s}": (lambda m=m, s=s: _desk(m, s)) for m in (200, 1600) for s in (1, 4)},
+    **{f"desk-m{m}-gaussian": (lambda m=m: _desk(m, None)) for m in (200, 1600)},
+}
+
+
+@pytest.mark.parametrize("case", list(_KERNEL_CASES))
+def test_round_robin_kernel_agrees_with_cyclic_reference(case):
+    a = _KERNEL_CASES[case]()
+    got = singular_values(a)
+    top = got[0]
+    assert np.max(np.abs(got - _reference_singular_values(a))) <= 1e-13 * top
+    assert np.max(np.abs(got - np.linalg.svd(a, compute_uv=False))) <= 1e-13 * top
+    v = svd(a).V
+    assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [*range(1, 10), 100])
+def test_round_robin_pairs_every_two_columns_once_per_sweep(d):
+    seats, step = linalg._round_robin(d)
+    n = d + d % 2
+    order, met = seats, []
+    for _ in range(n - 1):
+        assert sorted(order) == list(range(n))  # each round's pairs are disjoint
+        met += [tuple(sorted(pair)) for pair in order.reshape(-1, 2) if max(pair) < d]
+        order = order[step]
+    assert sorted(met) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+    np.testing.assert_array_equal(order, seats)
+
+
+def test_jacobi_sweep_cap_raises_with_the_worst_ratio(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 1)
+    with pytest.raises(ConvergenceError) as err:
+        singular_values(gen_gaussian(12, 6, Prng(64)))
+    assert err.value.residual > 1e-14
 
 
 # ---------------------------------------------------------------------------

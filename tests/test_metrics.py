@@ -1,5 +1,4 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from sketchbench.metrics import (
     check_subspace_embedding,
     distortion,
     distortion_via_basis,
-    jl_moment_estimate,
     jlt_failure_rate,
 )
 from sketchbench.rng import Prng
@@ -193,84 +191,6 @@ def test_embedding_conventions_are_independent():
 def test_embedding_validates_eps():
     with pytest.raises(ValueError):
         check_subspace_embedding(identity_sketch(4), np.eye(4), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# JL moment estimator
-
-
-def test_moment_identity_family_exactly_zero():
-    n = 8
-    x = np.zeros(n)
-    x[0] = 1.0
-    est = jl_moment_estimate(lambda r: identity_sketch(n), x, 2, 50, Prng(123))
-    assert est == 0.0
-
-
-def test_moment_matches_exhaustive_enumeration():
-    # n=4, m=2, s=1: the family has 2^4 row maps x 2^4 sign maps = 256
-    # equally likely outcomes; average the moment over all of them exactly
-    n, m, rho = 4, 2, 2
-    x = unit_vector(n, 124)
-    exact_terms = []
-    for rows in product(range(m), repeat=n):
-        for signs in product((-1.0, 1.0), repeat=n):
-            s_mat = np.zeros((m, n))
-            for j in range(n):
-                s_mat[rows[j], j] = signs[j]
-            v = float(np.sum((s_mat @ x) ** 2))
-            exact_terms.append(abs(v - 1.0) ** rho)
-    exact = float(np.mean(exact_terms))
-
-    trials = 4000
-    est = jl_moment_estimate(
-        lambda r: graph_sketch_new(n, m, 1, r), x, rho, trials, Prng(125)
-    )
-    spread = float(np.std(exact_terms)) / math.sqrt(trials)
-    assert abs(est - exact) <= 5 * spread
-
-
-def test_moment_decreases_with_m():
-    n, s = 128, 2
-    x = unit_vector(n, 126)
-    lo, hi = [], []
-    for rep in range(10):
-        base = Prng(127).split(rep)
-        lo.append(jl_moment_estimate(lambda r: graph_sketch_new(n, 16, s, r), x, 2, 200, base.split(0)))
-        hi.append(jl_moment_estimate(lambda r: graph_sketch_new(n, 64, s, r), x, 2, 200, base.split(1)))
-    assert np.median(hi) < np.median(lo)
-
-
-def test_moment_rho2_is_variance_plus_squared_bias():
-    n = 32
-    x = unit_vector(n, 128)
-    factory = lambda r: graph_sketch_new(n, 8, 2, r)
-    trials = 300
-    rng = Prng(129)
-    est = jl_moment_estimate(factory, x, 2, trials, rng)
-    # replay the identical trial streams and compute the identity directly
-    from sketchbench.sketch import sketch_apply
-
-    vals = np.empty(trials)
-    for t in range(trials):
-        op = factory(Prng(129).split(t))
-        sx = sketch_apply(op, x[:, None])
-        vals[t] = float(np.sum(sx * sx))
-    direct = float(np.var(vals) + (np.mean(vals) - 1.0) ** 2)
-    assert est == pytest.approx(direct, rel=1e-10)
-
-
-def test_moment_validates():
-    x = unit_vector(8, 130)
-    factory = lambda r: graph_sketch_new(8, 4, 1, r)
-    with pytest.raises(ValueError):
-        jl_moment_estimate(factory, 2 * x, 2, 5, Prng(131))
-    with pytest.raises(ValueError):
-        jl_moment_estimate(factory, x, 3, 5, Prng(131))
-    with pytest.raises(ValueError):
-        jl_moment_estimate(factory, x, 0, 5, Prng(131))
-    with pytest.raises(ValueError):
-        jl_moment_estimate(factory, x, 2, 0, Prng(131))
 
 
 # ---------------------------------------------------------------------------
