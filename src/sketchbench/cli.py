@@ -38,7 +38,8 @@ appear in the output.
 Input specs are MatrixMarket paths or generators:
 ``gen:gaussian:<n>x<d>`` and ``gen:lowrank:<n>x<d>:<k>:<sigma>``.
 
-Exit codes: 0 success, 2 configuration problem, 3 iteration failure inside
+Exit codes: 0 success, 1 internal error (any other exception, reported as
+its type and message), 2 configuration problem, 3 iteration failure inside
 a numerical kernel, 4 rank deficiency or an exhausted enumeration budget.
 """
 
@@ -563,6 +564,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault in the program: named, not a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 1
     return 0
 
 

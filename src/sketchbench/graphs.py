@@ -4,9 +4,10 @@ Two graph properties matter for the sketching experiments and both are
 checked exactly here, at sizes where exactness is affordable:
 
 * vertex expansion — every left subset C with |C| ≤ k has more than
-  (1−eps)·s·|C| distinct neighbors; verified by exhausting all subsets, with
-  an explicit enumeration budget so a careless call fails fast instead of
-  running for hours;
+  (1−eps)·s·|C| distinct neighbors; sizes 1 and 2 are counted through the
+  right vertices each pair shares, larger sizes by enumerating all subsets,
+  with an explicit budget on the subset count so a careless call fails fast
+  instead of running for hours;
 * matching coverage — a given left subset C can be saturated by a matching;
   decided by Hopcroft–Karp on the induced subgraph.
 
@@ -29,6 +30,7 @@ import numpy as np
 from .rng import Prng
 
 EXPANSION_BUDGET = 10_000_000
+_PAIR_CHUNK = 1 << 20  # pair codes held at once by the size-2 count
 
 
 class BudgetExceededError(ValueError):
@@ -80,11 +82,13 @@ class ExpansionResult:
 
 
 def verify_expansion(g: BipartiteGraph, k: int, eps: float) -> ExpansionResult:
-    """Exhaustively check |Γ(C)| > (1-eps)·s·|C| for all C with 1 ≤ |C| ≤ k.
+    """Check |Γ(C)| > (1-eps)·s·|C| for all C with 1 ≤ |C| ≤ k, exactly.
 
     Refuses (BudgetExceededError) when the subset count exceeds the budget
-    of ten million.  Returns the first violating subset found, scanning
-    sizes in increasing order and subsets in lexicographic order.
+    of ten million.  Returns the first violating subset, scanning sizes in
+    increasing order and subsets in lexicographic order.  Sizes 1 and 2 are
+    counted through shared right vertices (``_first_violating_pair``);
+    larger sizes are enumerated.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -100,16 +104,70 @@ def verify_expansion(g: BipartiteGraph, k: int, eps: float) -> ExpansionResult:
                 f"checking all subsets up to size {k} of {n} left vertices needs "
                 f"more than {EXPANSION_BUDGET} subset evaluations ({required}+)"
             )
+    if kmax == 0:
+        return ExpansionResult(holds=True, witness=None)
+    # |Γ(C)| is an integer, so "not |Γ(C)| > (1-eps)·s·|C|" is |Γ(C)| <= limit.
+    limits = [math.floor((1.0 - eps) * s * size) for size in range(kmax + 1)]
+    rows = np.sort(np.asarray(g.adjacency, dtype=np.int64), axis=1)
+    fresh = np.ones(rows.shape, dtype=bool)
+    fresh[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    degrees = fresh.sum(axis=1)
+    low = np.flatnonzero(degrees <= limits[1])
+    if low.size:
+        return ExpansionResult(holds=False, witness=(int(low[0]),))
+    if kmax >= 2:
+        left = np.repeat(np.arange(n, dtype=np.int64), rows.shape[1])[fresh.ravel()]
+        witness = _first_violating_pair(left, rows[fresh], degrees, limits[2])
+        if witness is not None:
+            return ExpansionResult(holds=False, witness=witness)
+    if kmax < 3:
+        return ExpansionResult(holds=True, witness=None)
     neighbor_sets = [frozenset(int(v) for v in g.adjacency[j]) for j in range(n)]
-    for size in range(1, kmax + 1):
-        bound = (1.0 - eps) * s * size
+    for size in range(3, kmax + 1):
         for subset in combinations(range(n), size):
             union: set[int] = set()
             for x in subset:
                 union |= neighbor_sets[x]
-            if not len(union) > bound:
+            if len(union) <= limits[size]:
                 return ExpansionResult(holds=False, witness=subset)
     return ExpansionResult(holds=True, witness=None)
+
+
+def _first_violating_pair(left, right, degrees, limit) -> tuple[int, int] | None:
+    """Lexicographically first pair (a, b) with |Γ(a) ∪ Γ(b)| <= limit, or None.
+
+    ``left``/``right`` are the distinct edges and ``degrees`` the distinct
+    neighbor counts, each above ``limit // 2``.  Then |Γ(a) ∪ Γ(b)| =
+    deg a + deg b − shared(a, b), and a pair that shares no right vertex
+    cannot violate.  Every right vertex's sorted left list yields the codes
+    a·n + b of its pairs; the counts of one ``np.unique`` over them are the
+    shared counts.  Codes are built for a range of first vertices a at a
+    time, at most ``_PAIR_CHUNK`` of them, in increasing order, so memory
+    stays bounded and the first range holding a violator ends the search.
+    """
+    n = len(degrees)
+    order = np.lexsort((left, right))
+    left, right = left[order], right[order]
+    heads = np.flatnonzero(np.r_[True, right[1:] != right[:-1]])
+    group_end = np.repeat(np.r_[heads[1:], len(right)], np.diff(np.r_[heads, len(right)]))
+    partners = group_end - np.arange(len(left)) - 1  # later edges on the same right vertex
+    per_first = np.cumsum(np.bincount(left, weights=partners, minlength=n))
+    a0 = 0
+    while a0 < n:
+        done = per_first[a0 - 1] if a0 else 0.0
+        a1 = max(a0 + 1, int(np.searchsorted(per_first, done + _PAIR_CHUNK, side="right")))
+        edges = np.flatnonzero((left >= a0) & (left < a1))
+        count = partners[edges]
+        firsts = np.repeat(left[edges], count)
+        offsets = np.arange(len(firsts)) - np.repeat(np.cumsum(count) - count, count)
+        seconds = left[np.repeat(edges + 1, count) + offsets]
+        codes, shared = np.unique(firsts * n + seconds, return_counts=True)
+        a, b = np.divmod(codes, n)
+        bad = np.flatnonzero(degrees[a] + degrees[b] - shared <= limit)
+        if bad.size:
+            return int(a[bad[0]]), int(b[bad[0]])
+        a0 = a1
+    return None
 
 
 def _hopcroft_karp(adj: dict[int, tuple[int, ...]]) -> int:

@@ -17,10 +17,15 @@ how much the parent has drawn.
 Normal variates come from Box-Muller on consecutive uniform pairs (u1 shifted
 into (0,1] so the log is always finite); the pair (z0, z1) is emitted in
 order.  Bounded integers use bitmask rejection sampling, which is exact.
+``integers_below`` and ``subset`` take their draws from one block (a second
+only if the first falls short) and then set the counter just after the last
+draw they used, so values and stream position are those of drawing one
+value at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,20 +108,30 @@ class Prng:
         return out[:n]
 
     def integers_below(self, bound: int, n: int) -> np.ndarray:
-        """``n`` exact uniform integers in [0, bound) via bitmask rejection."""
+        """``n`` exact uniform integers in [0, bound) via bitmask rejection.
+
+        The draws come from one block sized to cover the expected rejections;
+        the counter then moves back to just after the n-th accepted draw, so
+        the values and the stream position do not depend on the block size.
+        """
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
         if bound == 1:
             return np.zeros(n, dtype=np.int64)
-        mask = np.uint64((1 << (bound - 1).bit_length()) - 1)
+        bits = (bound - 1).bit_length()
+        mask = np.uint64((1 << bits) - 1)
         out = np.empty(n, dtype=np.int64)
         filled = 0
         while filled < n:
             need = n - filled
-            cand = (self.raw(need) & mask).astype(np.int64)
-            good = cand[cand < bound]
-            out[filled:filled + len(good)] = good
+            expected = (need << bits) // bound + 1
+            start = self.counter
+            cand = (self.raw(expected + 3 * math.isqrt(expected) + 8) & mask).astype(np.int64)
+            good = np.flatnonzero(cand < bound)[:need]
+            out[filled:filled + len(good)] = cand[good]
             filled += len(good)
+            if filled == n:
+                self.counter = start + int(good[-1]) + 1
         return out
 
     def int_below(self, bound: int) -> int:
@@ -127,14 +142,33 @@ class Prng:
         return np.where(self.raw(n) & np.uint64(1), 1.0, -1.0)
 
     def subset(self, n: int, k: int) -> np.ndarray:
-        """Uniform k-subset of range(n) without replacement (partial Fisher-Yates)."""
+        """Uniform k-subset of range(n) without replacement (partial Fisher-Yates).
+
+        Step i draws ``int_below(n - i)`` by bitmask rejection, walking one raw
+        block as Python ints; the counter ends just after the last draw used.
+        """
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        pool = np.arange(n, dtype=np.int64)
+        start = self.counter
+        block: list[int] = []
+        used = 0
+        swapped: dict[int, int] = {}
         for i in range(k):
-            j = i + self.int_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            bound = n - i
+            j = i
+            if bound > 1:
+                mask = (1 << (bound - 1).bit_length()) - 1
+                cand = bound
+                while cand >= bound:
+                    if used == len(block):
+                        self.counter = start + used
+                        block += self.raw(2 * (k - i) + 8).tolist()
+                    cand = block[used] & mask
+                    used += 1
+                j += cand
+            swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+        self.counter = start + used
+        return np.array([swapped[i] for i in range(k)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,27 @@ def test_failed_unit_keeps_the_rows_before_it(tmp_path, monkeypatch):
     assert _without_time(cut) == _without_time(clean)[:3]  # header and two rows
 
 
+def test_unexpected_exception_exits_1_and_keeps_the_rows_before_it(tmp_path, monkeypatch, capsys):
+    cfg = _write_sweep_cfg(tmp_path)
+    clean, cut = tmp_path / "clean.csv", tmp_path / "cut.csv"
+    assert main(["distortion-sweep", "--config", cfg, "--out", str(clean)]) == 0
+    real, calls = cli.distortion_via_basis, []
+
+    def fails_on_second_call(u, op):
+        calls.append(op)
+        if len(calls) == 2:
+            raise RuntimeError("injected fault")
+        return real(u, op)
+
+    monkeypatch.setattr(cli, "distortion_via_basis", fails_on_second_call)
+    capsys.readouterr()
+    assert main(["distortion-sweep", "--config", cfg, "--out", str(cut)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: injected fault" in err
+    assert "Traceback" not in err
+    assert _without_time(cut) == _without_time(clean)[:2]  # header and the first row
+
+
 def test_adding_a_method_preserves_existing_rows(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg1 = _write_sweep_cfg(tmp_path, methods="graph:s=2")

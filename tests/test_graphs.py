@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchbench.cli import _trial_stream
 from sketchbench.graphs import (
     BipartiteGraph,
     BudgetExceededError,
@@ -97,6 +99,74 @@ def test_expansion_matches_bruteforce():
         if not holds:
             break
     assert res.holds == holds
+
+
+def _expansion_reference(g, k, eps):
+    """The enumerator that ``verify_expansion`` replaced for sizes 1 and 2:
+    every subset, sizes increasing, lexicographic, float bound."""
+    neighbor_sets = [frozenset(int(v) for v in g.adjacency[j]) for j in range(g.left_count)]
+    for size in range(1, min(k, g.left_count) + 1):
+        bound = (1.0 - eps) * g.degree * size
+        for subset in combinations(range(g.left_count), size):
+            union = set()
+            for x in subset:
+                union |= neighbor_sets[x]
+            if not len(union) > bound:
+                return False, subset
+    return True, None
+
+
+def _assert_matches_reference(g, k, eps):
+    res = verify_expansion(g, k, eps)
+    assert (res.holds, res.witness) == _expansion_reference(g, k, eps)
+    return res
+
+
+EPS_GRID = (0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.9)
+
+
+def test_expansion_matches_enumerator_on_random_graphs():
+    r = random.Random(2024)
+    violating = 0
+    for _ in range(2000):
+        m = r.randint(1, 60)
+        n, s, k = r.randint(1, 40), r.randint(1, min(5, m)), r.randint(1, 3)
+        if r.random() < 0.25:  # repeated right vertices: no validate() in the check
+            rows = [sorted(r.choices(range(m), k=s)) for _ in range(n)]
+        else:
+            rows = [sorted(r.sample(range(m), s)) for _ in range(n)]
+        g = BipartiteGraph(n, m, s, np.array(rows, dtype=np.int64).reshape(n, s))
+        violating += not _assert_matches_reference(g, k, r.choice(EPS_GRID)).holds
+    assert 200 < violating < 1800
+
+
+def test_expansion_repeated_right_vertex():
+    # rows [0, 0, 1] have 2 distinct neighbors: 2 <= 0.5 * 3 * 1 is false,
+    # but a pair sharing right vertex 1 has union 3 <= 0.5 * 3 * 2
+    adj = np.array([[0, 0, 1], [1, 2, 2], [3, 4, 5]], dtype=np.int64)
+    g = BipartiteGraph(left_count=3, right_count=6, degree=3, adjacency=adj)
+    assert _assert_matches_reference(g, 2, 0.5).witness == (0, 1)
+    assert _assert_matches_reference(g, 1, 0.5).holds
+
+
+def test_expansion_pair_union_equal_to_bound_violates():
+    # s = 4, eps = 0.5: the pair bound is exactly 4.0, so a union of 4 fails
+    # and a union of 5, as in (0, 2), passes; (0, 3) is the first tie
+    adj = np.array(
+        [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 2, 8], [0, 1, 2, 3], [4, 5, 6, 7]],
+        dtype=np.int64,
+    )
+    g = BipartiteGraph(left_count=5, right_count=11, degree=4, adjacency=adj)
+    assert _assert_matches_reference(g, 2, 0.5).witness == (0, 3)
+    assert _assert_matches_reference(g, 3, 0.5).witness == (0, 3)
+
+
+@pytest.mark.parametrize("m", [400, 800])
+def test_expansion_matches_enumerator_on_graph_desk_graphs(m):
+    # the verify-graph units of the graph-desk benchmark at seed 42
+    stream = _trial_stream(Prng(42), "verify-graph", "graph:n=1600:s=4", m, 0)
+    g = sketch_to_graph(graph_sketch_new(1600, m, 4, stream, row_mode="subset"))
+    assert _assert_matches_reference(g, 2, 0.5).holds
 
 
 def test_expansion_budget_guard():

@@ -122,6 +122,71 @@ def test_subset_rejects_bad_k():
         Prng(11).subset(5, 6)
 
 
+def _integers_below_reference(rng, bound, n):
+    """The round loop that ``integers_below`` replaced: each round draws
+    exactly the values still needed, so the counter ends on the n-th
+    accepted draw."""
+    if bound == 1:
+        return np.zeros(n, dtype=np.int64)
+    mask = np.uint64((1 << (bound - 1).bit_length()) - 1)
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        need = n - filled
+        cand = (rng.raw(need) & mask).astype(np.int64)
+        good = cand[cand < bound]
+        out[filled:filled + len(good)] = good
+        filled += len(good)
+    return out
+
+
+def _subset_reference(rng, n, k):
+    """The partial Fisher-Yates loop that ``subset`` replaced, one
+    ``int_below`` call per step."""
+    pool = np.arange(n, dtype=np.int64)
+    for i in range(k):
+        j = i + int(_integers_below_reference(rng, n - i, 1)[0])
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def _assert_same_draws(draw, reference, seed):
+    """Equal values, dtype, counter, and equal raw draws after, from streams
+    already advanced by 0-4 draws."""
+    for advance in range(5):
+        a, b = Prng(seed), Prng(seed)
+        a.raw(advance)
+        b.raw(advance)
+        got, want = draw(a), reference(b)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert a.counter == b.counter
+        np.testing.assert_array_equal(a.raw(3), b.raw(3))
+
+
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 5, 17, 20, 33, 64, 65, 100, 1000, 2**40 + 3, MERSENNE61]
+)
+def test_integers_below_matches_round_loop_reference(bound):
+    for n in (0, 1, 2, 3, 10, 101, 1000, 3000):
+        seed = 1000 * bound + n
+        _assert_same_draws(
+            lambda r: r.integers_below(bound, n),
+            lambda r: _integers_below_reference(r, bound, n),
+            seed,
+        )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 17, 64, 65, 800, 1000])
+def test_subset_matches_fisher_yates_reference(n):
+    for k in sorted({0, min(1, n), max(n - 1, 0), n // 2, n}):
+        _assert_same_draws(
+            lambda r: r.subset(n, k),
+            lambda r: _subset_reference(r, n, k),
+            17 * n + k,
+        )
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))
 @settings(max_examples=50)
 def test_raw_reproducible_any_seed(seed, n):
