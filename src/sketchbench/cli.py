@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import BudgetExceededError, estimate_magical_delta, verify_expansion
-from .linalg import RANK_TOL, ConvergenceError, RankDeficiencyError, thin_qr
+from .linalg import RANK_TOL, ConvergenceError, RankDeficiencyError, lstsq_factor, thin_qr
 from .matrices import (
     densify,
     gen_gaussian,
@@ -446,6 +446,8 @@ def run_lsq_bench(cfg: ExperimentConfig):
         raise RankDeficiencyError(
             f"least squares needs a tall input, got {a.shape[0]}x{a.shape[1]}"
         )
+    # the unsketched solve's factor: one A for every unit, rank-checked here
+    exact = lstsq_factor(a)
 
     def unit(method, m, m_eff, trial, stream):
         op = method.build(data.n, m_eff, stream.split(0), cfg.row_mode)
@@ -453,7 +455,7 @@ def run_lsq_bench(cfg: ExperimentConfig):
         x0 = stream.split(1).normal(data.d)
         noise = stream.split(2).normal(data.n)
         b = a @ x0 + 0.1 * noise
-        return "lsq_ratio", sketch_and_solve_lsq(a, b, op).ratio
+        return "lsq_ratio", sketch_and_solve_lsq(a, b, op, exact).ratio
 
     return run_units(cfg, data.spec, data.n, data.d, data.d, cfg.methods, unit)
 

@@ -24,9 +24,11 @@ Algorithm choices, pinned for reproducibility:
   ConvergenceError carrying the worst remaining off-diagonal ratio.  This
   is the only rotation loop in the package: every spectrum, the spectral
   norm included, comes from it.
-* ``lstsq_exact``: thin QR of A and back substitution, with b prescaled by
-  its own power of two in the same way, so the solution is right at any
-  input scale too.
+* ``lstsq_exact``: two steps, so a caller with many right sides for one A
+  factors it once.  ``lstsq_factor(a)`` is the thin QR of A, Q included,
+  with the rank check; its ``solve(b)`` prescales b by its own power of two
+  in the same way, forms Q^T b and back-substitutes, so the solution is
+  right at any input scale too.  ``lstsq_exact(a, b)`` is the two in a row.
 
 Sign convention for the SVD: each column of U has its largest-magnitude
 entry positive (ties broken by lowest row index), with the matching V column
@@ -52,6 +54,8 @@ __all__ = [
     "thin_qr",
     "svd",
     "singular_values",
+    "LstsqFactor",
+    "lstsq_factor",
     "lstsq_exact",
 ]
 
@@ -344,25 +348,46 @@ def _solve_upper(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def lstsq_exact(a, b) -> np.ndarray:
-    """Least-squares solution argmin_x of the residual norm, via thin QR.
+@dataclass(frozen=True)
+class LstsqFactor:
+    """The factor of ``lstsq_factor``: a = 2**e q r, r with a full-rank diagonal."""
+
+    q: np.ndarray
+    r: np.ndarray
+    e: int
+
+    def solve(self, b) -> np.ndarray:
+        """argmin_x of the residual norm for this A; b is prescaled by its own power of two."""
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim != 1 or len(b) != self.q.shape[0]:
+            raise ValueError(f"b must be a length-{self.q.shape[0]} vector, got shape {b.shape}")
+        b, eb = _prescale(b)
+        return np.ldexp(_solve_upper(self.r, self.q.T @ b), eb - self.e)
+
+
+def lstsq_factor(a) -> LstsqFactor:
+    """Thin QR of A for ``lstsq_exact``, computed once for any number of right sides.
 
     Requires n >= d and numerically full column rank (R diagonal bounded
-    away from zero relative to its largest entry).  A and b are prescaled
-    separately, as in svd, so the result is right at any input scale.
+    away from zero relative to its largest entry).
     """
     a = _as_matrix(a)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or len(b) != a.shape[0]:
-        raise ValueError(f"b must be a length-{a.shape[0]} vector, got shape {b.shape}")
     n, d = a.shape
     if n < d:
         raise ValueError(f"lstsq_exact needs n >= d, got {n}x{d}")
-    q, r, ea = _householder_qr(a, form_q=True)
-    b, eb = _prescale(b)
+    q, r, e = _householder_qr(a, form_q=True)
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
         raise RankDeficiencyError(
             f"R diagonal range [{diag.min():.3e}, {diag.max():.3e}] indicates rank deficiency"
         )
-    return np.ldexp(_solve_upper(r, q.T @ b), eb - ea)
+    return LstsqFactor(q, r, e)
+
+
+def lstsq_exact(a, b) -> np.ndarray:
+    """Least-squares solution argmin_x of the residual norm, via thin QR.
+
+    ``lstsq_factor(a).solve(b)``: A and b are prescaled separately, as in
+    svd, so the result is right at any input scale.
+    """
+    return lstsq_factor(a).solve(b)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, lstsq_exact, singular_values, svd, thin_qr
+from .linalg import RANK_TOL, LstsqFactor, lstsq_exact, lstsq_factor, singular_values, svd, thin_qr
 from .matrices import densify
 from .sketch import SketchOperator, sketch_apply
 
@@ -57,8 +57,12 @@ def _ratio(err: float, opt: float, scale: float) -> float:
     return err / opt
 
 
-def sketch_and_solve_lsq(a, b, op: SketchOperator) -> LsqResult:
-    """Solve argmin ||SAx - Sb|| and measure the result on the original system."""
+def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor | None = None) -> LsqResult:
+    """Solve argmin ||SAx - Sb|| and measure the result on the original system.
+
+    ``exact`` is ``lstsq_factor(a)``, the unsketched solve's factor: a caller
+    with many right sides for one A passes it in, and it is made here if not.
+    """
     a = densify(a)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or len(b) != a.shape[0]:
@@ -66,7 +70,7 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator) -> LsqResult:
     sa = sketch_apply(op, a)
     sb = sketch_apply(op, b[:, None])[:, 0]
     x_tilde = lstsq_exact(sa, sb)
-    x_star = lstsq_exact(a, b)
+    x_star = (lstsq_factor(a) if exact is None else exact).solve(b)
     sketched = _norm(a @ x_tilde - b)
     optimal = _norm(a @ x_star - b)
     return LsqResult(

@@ -21,6 +21,14 @@ order.  Bounded integers use bitmask rejection sampling, which is exact.
 only if the first falls short) and then set the counter just after the last
 draw they used, so values and stream position are those of drawing one
 value at a time.
+
+``KwiseHash`` evaluates its polynomial by Horner's rule, in ``__call__`` on
+Python integers for one key and in ``eval_many`` on uint64 arrays for many.
+The field is the Mersenne prime p = 2^61 - 1 or a prime below 2^32, and no
+other: below 2^32, acc * x + c < p^2 fits in 64 bits as it is; for 2^61 - 1
+each Horner step splits acc and x into 32-bit limbs, forms the four limb
+products (each below 2^64), and folds them with 2^61 = 1 (mod p), so every
+intermediate stays below 2^63 and the result equals ``__call__`` bit for bit.
 """
 
 from __future__ import annotations
@@ -43,17 +51,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    out = z.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        out ^= out >> np.uint64(30)
-        out *= np.uint64(0xBF58476D1CE4E5B9)
-        out ^= out >> np.uint64(27)
-        out *= np.uint64(0x94D049BB133111EB)
-        out ^= out >> np.uint64(31)
-    return out
 
 
 class Prng:
@@ -81,10 +78,17 @@ class Prng:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         start = self.counter + 1
         self.counter += n
-        idx = np.arange(start, start + n, dtype=np.uint64)
+        # the counters become the states, then the outputs, in one array
+        z = np.arange(start, start + n, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            state = idx * np.uint64(_GOLDEN) + np.uint64(self.seed)
-        return _mix64_array(state)
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self.seed)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+        return z
 
     def next_u64(self) -> int:
         self.counter += 1
@@ -171,6 +175,47 @@ class Prng:
         return np.array([swapped[i] for i in range(k)], dtype=np.int64)
 
 
+_P61 = np.uint64(MERSENNE61)
+_LO32 = np.uint64((1 << 32) - 1)
+_LO29 = np.uint64((1 << 29) - 1)
+
+
+def _check_prime(prime: int) -> None:
+    if prime != MERSENNE61 and not 2 <= prime < 1 << 32:
+        raise ValueError(
+            f"prime must be 2^61 - 1 or in [2, 2^32), got {prime}: "
+            "only those have an exact uint64 Horner step"
+        )
+
+
+def _horner_mersenne61(coeffs: list[np.uint64], x: np.ndarray) -> np.ndarray:
+    """Horner's rule mod p = 2^61 - 1 on uint64 keys, coefficients highest first.
+
+    Every operand lies in [0, p).  With acc = ah 2^32 + al and x = xh 2^32 + xl
+    (the high halves below 2^29), acc x = hh 2^64 + cross 2^32 + ll, and since
+    2^61 = 1 mod p: hh 2^64 = 8 hh, cross 2^32 = (cross >> 29) + (cross mod
+    2^29) 2^32, and ll = (ll mod 2^61) + (ll >> 61).  Those terms are below
+    2^61, but cross >> 29 is below 2^33 and ll >> 61 below 8, so with c the
+    sum stays below 2^63; one more fold and one conditional subtraction
+    bring it into [0, p).
+    """
+    xh, xl = x >> np.uint64(32), x & _LO32
+    acc = np.full(x.shape, coeffs[0])
+    for c in coeffs[1:]:
+        ah, al = acc >> np.uint64(32), acc & _LO32
+        cross = ah * xl + al * xh        # < 2^62
+        ll = al * xl                     # < 2^64
+        t = (ah * xh) << np.uint64(3)    # < 2^61
+        t += cross >> np.uint64(29)
+        t += (cross & _LO29) << np.uint64(32)
+        t += ll & _P61
+        t += ll >> np.uint64(61)
+        t += c
+        acc = (t & _P61) + (t >> np.uint64(61))    # <= p + 3
+        np.subtract(acc, _P61, out=acc, where=acc >= _P61)
+    return acc
+
+
 @dataclass(frozen=True)
 class KwiseHash:
     """Polynomial hash over a prime field: h(x) = (sum_i c_i x^i mod p) mod range.
@@ -179,6 +224,10 @@ class KwiseHash:
     family over the field (before the final reduction mod ``out_range``).
     With the default prime 2^61 - 1 the reduction bias is below range/p and
     is ignored; tiny primes exist for exhaustive enumeration tests.
+
+    The prime is 2^61 - 1 or below 2^32, and any other is refused at
+    construction: those are the two fields whose Horner step ``eval_many``
+    computes exactly in uint64, by Mersenne limbs or directly.
     """
 
     gamma: int
@@ -186,18 +235,21 @@ class KwiseHash:
     coefficients: tuple[int, ...]
     out_range: int
 
+    def __post_init__(self):
+        _check_prime(self.prime)
+
     @classmethod
     def sample(cls, gamma: int, out_range: int, rng: Prng, prime: int = MERSENNE61) -> "KwiseHash":
         if gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {gamma}")
         if out_range < 1:
             raise ValueError(f"out_range must be >= 1, got {out_range}")
-        if prime < 2:
-            raise ValueError(f"prime must be >= 2, got {prime}")
+        _check_prime(prime)
         coeffs = tuple(int(c) for c in rng.integers_below(prime, gamma))
         return cls(gamma=gamma, prime=prime, coefficients=coeffs, out_range=out_range)
 
     def __call__(self, x: int) -> int:
+        """The scalar reference: Horner's rule on Python integers."""
         if not 0 <= x < self.prime:
             raise ValueError(f"hash input {x} outside field [0, {self.prime})")
         acc = 0
@@ -206,15 +258,29 @@ class KwiseHash:
         return acc % self.out_range
 
     def eval_many(self, xs) -> np.ndarray:
-        """Vectorized evaluation; inputs must all lie in [0, prime)."""
-        p, rng_out = self.prime, self.out_range
-        out = np.empty(len(xs), dtype=np.int64)
-        for idx, x in enumerate(xs):
-            x = int(x)
-            if not 0 <= x < p:
-                raise ValueError(f"hash input {x} outside field [0, {p})")
-            acc = 0
-            for c in reversed(self.coefficients):
-                acc = (acc * x + c) % p
-            out[idx] = acc % rng_out
-        return out
+        """Vectorized evaluation as int64; inputs must be integers in [0, prime).
+
+        Horner's rule over uint64 arrays, each step one set of array
+        operations over all keys, equal to ``__call__`` key by key: by 32-bit
+        limbs for 2^61 - 1 (``_horner_mersenne61``), directly below 2^32.
+        """
+        keys = np.asarray(xs)
+        if keys.size == 0:
+            return np.empty(keys.shape, dtype=np.int64)
+        p = self.prime
+        for end in (keys.min(), keys.max()):
+            if not 0 <= end < p:
+                raise ValueError(f"hash input {end} outside field [0, {p})")
+        if keys.dtype.kind not in "iuO":
+            raise ValueError(f"hash inputs must be integers, got dtype {keys.dtype}")
+        x = keys.astype(np.uint64)
+        coeffs = [np.uint64(c % p) for c in reversed(self.coefficients)]
+        if p == MERSENNE61:
+            acc = _horner_mersenne61(coeffs, x)
+        else:
+            # below 2^32, acc * x + c < p^2 fits in uint64 as it is
+            acc = np.full(x.shape, coeffs[0])
+            for c in coeffs[1:]:
+                acc = (acc * x + c) % np.uint64(p)
+        # acc < p, so a range at or above p leaves it as it is
+        return (acc % np.uint64(min(self.out_range, p))).astype(np.int64)

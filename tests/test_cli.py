@@ -16,7 +16,7 @@ from sketchbench.cli import (
     parse_method,
 )
 from sketchbench.linalg import ConvergenceError
-from sketchbench.matrices import read_matrix_market
+from sketchbench.matrices import read_matrix_market, write_matrix_market
 from sketchbench.rng import Prng
 
 
@@ -353,6 +353,18 @@ def test_adding_an_m_value_preserves_existing_rows(tmp_path):
 def test_distortion_sweep_rank_deficient_input_exits_4(tmp_path):
     cfg = _write_sweep_cfg(tmp_path, input="gen:lowrank:64x8:2:0.0")
     assert main(["distortion-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 4
+
+
+@pytest.mark.parametrize("command", ["distortion-sweep", "lsq-bench"])
+def test_rank_deficient_matrix_market_input_exits_4_before_the_output_opens(tmp_path, command):
+    a = Prng(37).normal(40 * 5).reshape(40, 5)
+    a[:, 4] = a[:, 0] - a[:, 1]
+    mtx = tmp_path / "deficient.mtx"
+    write_matrix_market(a, str(mtx))
+    out = tmp_path / "x.csv"
+    cfg = _write_sweep_cfg(tmp_path, input=str(mtx), m_values="20", trials="1")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_distortion_sweep_stdout(tmp_path, capsys):

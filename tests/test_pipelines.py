@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sketchbench.linalg import RankDeficiencyError, svd
+from sketchbench.linalg import RankDeficiencyError, lstsq_factor, svd
 from sketchbench.matrices import gen_gaussian, gen_low_rank_plus_noise
 from sketchbench.metrics import distortion  # noqa: F401  (import cycle sanity)
 from sketchbench.pipelines import (
@@ -98,6 +98,24 @@ def test_lsq_rank_deficient_matrix_raises():
     a[:, 1] = a[:, 0]
     with pytest.raises(RankDeficiencyError):
         sketch_and_solve_lsq(a, Prng(151).normal(30), graph_sketch_new(30, 16, 2, Prng(152)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: gaussian_sketch_new(300, 40, rng),
+    lambda rng: graph_sketch_new(300, 40, 2, rng),
+    lambda rng: graph_sketch_new(300, 40, 4, rng, gamma=8),
+], ids=["gaussian", "graph", "gamma-graph"])
+def test_lsq_given_factor_is_bitwise_the_same(build):
+    a = gen_gaussian(300, 6, Prng(154))
+    exact = lstsq_factor(a)
+    for trial in range(3):
+        b = Prng(155 + trial).normal(300)
+        made = sketch_and_solve_lsq(a, b, build(Prng(160 + trial)))
+        given = sketch_and_solve_lsq(a, b, build(Prng(160 + trial)), exact)
+        assert made.x_tilde.tobytes() == given.x_tilde.tobytes()
+        for field in ("sketched_residual", "optimal_residual", "ratio"):
+            want, got = getattr(made, field), getattr(given, field)
+            assert np.float64(want).tobytes() == np.float64(got).tobytes()
 
 
 def test_lsq_validates_b():

@@ -227,12 +227,91 @@ def test_hash_rejects_out_of_field_input():
         h(-1)
 
 
+# keys where the 61-bit limbs carry: the bottom, the top of the field, the limb edges
+_EDGE_KEYS = (
+    list(range(2000))
+    + list(range(MERSENNE61 - 1, MERSENNE61 - 3001, -1))
+    + [2**32 - 1, 2**32, 2**60]
+)
+
+
 def test_hash_eval_many_matches_scalar():
     rng = Prng(13)
-    h = KwiseHash.sample(gamma=4, out_range=17, rng=rng)
-    xs = np.arange(100)
-    many = h.eval_many(xs)
-    assert [h(int(x)) for x in xs] == many.tolist()
+    for gamma in range(1, 9):
+        for out_range in (1, 2, 17, 500):
+            h = KwiseHash.sample(gamma=gamma, out_range=out_range, rng=rng)
+            many = h.eval_many(np.array(_EDGE_KEYS))
+            assert many.dtype == np.int64
+            assert many.tolist() == [h(x) for x in _EDGE_KEYS], (gamma, out_range)
+
+
+@pytest.mark.parametrize("gamma", range(1, 9))
+def test_hash_eval_many_largest_product(gamma):
+    # every Horner step multiplies (p - 1) by (p - 1) and adds p - 1
+    h = KwiseHash(gamma=gamma, prime=MERSENNE61, coefficients=(MERSENNE61 - 1,) * gamma,
+                  out_range=2**40)
+    assert h.eval_many([MERSENNE61 - 1]).tolist() == [h(MERSENNE61 - 1)]
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5, 7, 103, 4294967291])
+@pytest.mark.parametrize("gamma", [1, 2, 4, 8])
+def test_hash_eval_many_matches_scalar_small_primes(prime, gamma):
+    h = KwiseHash.sample(gamma=gamma, out_range=17, rng=Prng(prime + gamma), prime=prime)
+    xs = sorted(set(range(min(prime, 2000))) | set(range(prime - 1, max(prime - 3001, -1), -1)))
+    assert h.eval_many(np.array(xs)).tolist() == [h(x) for x in xs]
+
+
+@given(
+    st.lists(st.integers(0, 2**64), min_size=1, max_size=8),
+    st.lists(st.integers(0, MERSENNE61 - 1), min_size=1, max_size=20),
+    st.integers(1, 2**70),
+)
+@settings(max_examples=200, deadline=None)
+def test_hash_eval_many_matches_scalar_any_coefficients(coeffs, xs, out_range):
+    h = KwiseHash(gamma=len(coeffs), prime=MERSENNE61, coefficients=tuple(coeffs),
+                  out_range=out_range)
+    assert h.eval_many(xs).tolist() == [h(x) for x in xs]
+
+
+@pytest.mark.parametrize("key", [-1, MERSENNE61, 2**63, 2**64])
+def test_hash_eval_many_rejects_out_of_field_input(key):
+    h = KwiseHash.sample(gamma=3, out_range=7, rng=Prng(17))
+    with pytest.raises(ValueError, match="outside field"):
+        h.eval_many([key])
+    with pytest.raises(ValueError, match="outside field"):
+        h.eval_many([0, key, 1])
+
+
+def test_hash_eval_many_rejects_non_integer_input():
+    h = KwiseHash.sample(gamma=3, out_range=7, rng=Prng(18))
+    with pytest.raises(ValueError, match="integers"):
+        h.eval_many([1.0, 2.0])
+
+
+def test_hash_eval_many_empty_input():
+    h = KwiseHash.sample(gamma=3, out_range=7, rng=Prng(19))
+    for xs in ([], np.arange(0)):
+        many = h.eval_many(xs)
+        assert many.dtype == np.int64 and many.shape == (0,)
+
+
+def test_hash_eval_many_reduces_coefficients_like_scalar():
+    # a hand-built hash may hold coefficients at or above p; both paths reduce them
+    for prime in (MERSENNE61, 103):
+        h = KwiseHash(gamma=3, prime=prime, coefficients=(prime, 2 * prime + 5, 2**64 + 3),
+                      out_range=1000)
+        xs = [0, 1, 2, prime - 1]
+        assert h.eval_many(xs).tolist() == [h(x) for x in xs]
+
+
+def test_hash_prime_rule():
+    # below 2^32 the Horner step fits uint64 directly, and 2^61 - 1 has its limbs
+    KwiseHash(gamma=2, prime=2**31 + 11, coefficients=(1, 2), out_range=5)
+    KwiseHash.sample(gamma=2, out_range=5, rng=Prng(20), prime=2**31 + 11)
+    with pytest.raises(ValueError, match="prime"):
+        KwiseHash(gamma=2, prime=2**40 + 15, coefficients=(1, 2), out_range=5)
+    with pytest.raises(ValueError, match="prime"):
+        KwiseHash.sample(gamma=2, out_range=5, rng=Prng(20), prime=2**40 + 15)
 
 
 def test_hash_sample_coefficient_count_and_field():

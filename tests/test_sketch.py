@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -89,6 +90,18 @@ def test_gamma_mode_structure_and_determinism():
 def test_gamma_mode_rejects_subset_rows():
     with pytest.raises(ValueError, match="block"):
         graph_sketch_new(10, 4, 2, Prng(57), gamma=2, row_mode="subset")
+
+
+@pytest.mark.parametrize("gamma, m, s, digest", [
+    (2, 200, 2, "97ed8281f871e91ebb012e38ea4f9808d7bc945c0da3b1dc413c82126ba07efd"),
+    (4, 200, 2, "94bf8ceac3852d25061beeae4299e59ab0897d16de62624c4783cf4282671d5c"),
+    (8, 400, 4, "db5f230b3224080c059948d8c0922b89c9502db16994786875e8185a9a375ace"),
+])
+def test_gamma_mode_bytes_are_pinned(gamma, m, s, digest):
+    # the gamma-wise operator's exact rows and signs, recorded from the per-key hash loop
+    op = graph_sketch_new(2000, m, s, Prng(909), gamma)
+    data = op.rows_per_column.tobytes() + op.signs_per_column.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_gamma_differs_from_full():
