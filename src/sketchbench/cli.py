@@ -23,7 +23,9 @@ streams, the timing, the thread pool and the rows.  verify-graph and
 magical-delta are one-method sweeps over the graph of the n and s keys.
 
 Every CSV cell except wall_time_ms is a pure function of (command, config,
-seed).  Each work unit draws its randomness from a child stream keyed by a
+seed), given BLAS on one thread (OPENBLAS_NUM_THREADS=1 or the OMP/MKL
+equivalent); threaded BLAS may move Gaussian rows in the last digits.
+Each work unit draws its randomness from a child stream keyed by a
 hash of (command, method label, m, trial), so adding methods or m values to
 a sweep never changes the rows that were already there, and thread count
 never affects output: rows are emitted in (method, m, trial) order no

@@ -9,7 +9,8 @@ checked exactly here, at sizes where exactness is affordable:
   with an explicit budget on the subset count so a careless call fails fast
   instead of running for hours;
 * matching coverage — a given left subset C can be saturated by a matching;
-  decided by Hopcroft–Karp on the induced subgraph.
+  decided by Kuhn's augmenting paths from each vertex of C, searched on an
+  explicit stack so that no path length reaches the recursion limit.
 
 ``estimate_magical_delta`` ties the two to the sketch constructions: it
 samples fresh degree-s sketches and uniform k-subsets of columns and reports
@@ -21,7 +22,6 @@ supposed to keep at O(1/k) once m is a constant multiple of k.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -39,23 +39,12 @@ class BudgetExceededError(ValueError):
 
 @dataclass
 class BipartiteGraph:
-    """Left-regular bipartite graph; adjacency rows are sorted and distinct."""
+    """Left-regular bipartite graph; each adjacency row holds distinct right ids."""
 
     left_count: int
     right_count: int
     degree: int
-    adjacency: np.ndarray  # (left_count, degree) int64, sorted within rows
-
-    def validate(self) -> None:
-        n, s = self.left_count, self.degree
-        if self.adjacency.shape != (n, s):
-            raise ValueError("adjacency must be left_count x degree")
-        if n and (self.adjacency.min() < 0 or self.adjacency.max() >= self.right_count):
-            raise ValueError("right-vertex id out of range")
-        for j in range(n):
-            row = self.adjacency[j]
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"left vertex {j}: neighbors not sorted distinct")
+    adjacency: np.ndarray  # (left_count, degree) int64, in no particular order
 
 
 def _check_left_ids(g: BipartiteGraph, c) -> list[int]:
@@ -170,62 +159,48 @@ def _first_violating_pair(left, right, degrees, limit) -> tuple[int, int] | None
     return None
 
 
-def _hopcroft_karp(adj: dict[int, tuple[int, ...]]) -> int:
-    """Maximum matching size for left-to-right adjacency lists."""
-    match_left: dict[int, int | None] = {u: None for u in adj}
-    match_right: dict[int, int | None] = {}
-    for vs in adj.values():
-        for v in vs:
-            match_right.setdefault(v, None)
-    inf = math.inf
-    dist: dict[int, float] = {}
+def _augment(adj: dict[int, list[int]], match: dict[int, int], root: int) -> bool:
+    """Find an augmenting path from the free left vertex root and apply it.
 
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in adj:
-            if match_left[u] is None:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        reachable_free = inf
-        while queue:
-            u = queue.popleft()
-            if dist[u] < reachable_free:
-                for v in adj[u]:
-                    w = match_right[v]
-                    if w is None:
-                        reachable_free = dist[u] + 1
-                    elif dist[w] == inf:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-        return reachable_free != inf
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_right[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
+    Depth first on a stack of (left vertex, neighbor iterator) pairs; a right
+    vertex is entered at most once per search.
+    """
+    stack = [(root, iter(adj[root]))]
+    via: list[int] = []  # via[i] leads from stack[i] to stack[i + 1]
+    seen: set[int] = set()
+    while stack:
+        for v in stack[-1][1]:
+            if v in seen:
+                continue
+            seen.add(v)
+            w = match.get(v)
+            if w is None:
+                for (u, _), x in zip(stack, via + [v]):
+                    match[x] = u
                 return True
-        dist[u] = inf
-        return False
-
-    size = 0
-    while bfs():
-        for u in adj:
-            if match_left[u] is None and dfs(u):
-                size += 1
-    return size
+            via.append(v)
+            stack.append((w, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def max_matching_covers(g: BipartiteGraph, c) -> bool:
-    """True iff some matching saturates every left vertex in c."""
+    """True iff some matching saturates every left vertex in c.
+
+    Each vertex of c in turn searches for an augmenting path; one that finds
+    none cannot be matched later either (Berge), so the first failure decides.
+    A repeated id would need two matches and gives False.
+    """
     ids = _check_left_ids(g, c)
-    if not ids:
-        return True
-    adj = {u: tuple(int(v) for v in g.adjacency[u]) for u in ids}
-    return _hopcroft_karp(adj) == len(ids)
+    adj = {u: g.adjacency[u].tolist() for u in ids}
+    if len(adj) < len(ids):
+        return False
+    match: dict[int, int] = {}  # right vertex -> left vertex
+    return all(_augment(adj, match, u) for u in adj)
 
 
 def estimate_magical_delta(

@@ -17,9 +17,9 @@ Three operator families share one calling convention:
 Randomness for row placement and for signs comes from two child streams
 split off the generator passed in, so the generator's seed alone
 reconstructs any operator bit-exactly (splits do not depend on how far the
-parent stream has advanced).  With ``gamma`` set, both streams seed
-gamma-wise independent polynomial hashes instead of being consumed per
-entry; this is only defined for the block row rule.
+parent stream has advanced); operators keep no copy of it.  With ``gamma``
+set, both streams seed gamma-wise independent polynomial hashes instead of
+being consumed per entry; this is only defined for the block row rule.
 """
 
 from __future__ import annotations
@@ -37,19 +37,6 @@ _ROW_STREAM = 1
 _SIGN_STREAM = 2
 
 
-@dataclass(frozen=True)
-class SketchProvenance:
-    """Everything needed to rebuild an operator: method, shape, and seed."""
-
-    method: str
-    n: int
-    m: int
-    s: int
-    gamma: int | None
-    seed: int
-    row_mode: str = "block"
-
-
 @dataclass
 class GraphSketch:
     n: int
@@ -57,8 +44,6 @@ class GraphSketch:
     s: int
     rows_per_column: np.ndarray    # (n, s) int64, distinct within each row of the array
     signs_per_column: np.ndarray   # (n, s) float64, entries +1 or -1
-    gamma: int | None
-    provenance: SketchProvenance
 
     @property
     def scale(self) -> float:
@@ -83,7 +68,6 @@ class GaussianSketch:
     m: int
     n: int
     entries: np.ndarray  # (m, n), i.i.d. N(0, 1/m)
-    provenance: SketchProvenance
 
 
 SketchOperator = GraphSketch | GaussianSketch
@@ -139,24 +123,14 @@ def graph_sketch_new(
         for j in range(n):
             rows[j, :] = rows_rng.subset(m, s)
         signs[:, :] = signs_rng.signs(n * s).reshape(n, s)
-    prov = SketchProvenance(
-        method="graph", n=n, m=m, s=s, gamma=gamma, seed=rng.seed, row_mode=row_mode
-    )
-    return GraphSketch(
-        n=n, m=m, s=s, rows_per_column=rows, signs_per_column=signs,
-        gamma=gamma, provenance=prov,
-    )
+    return GraphSketch(n=n, m=m, s=s, rows_per_column=rows, signs_per_column=signs)
 
 
 def identity_sketch(n: int) -> GraphSketch:
     """s=1 sketch with the identity row map and +1 signs: S @ A == A."""
     rows = np.arange(n, dtype=np.int64)[:, None]
     signs = np.ones((n, 1))
-    prov = SketchProvenance(method="identity", n=n, m=n, s=1, gamma=None, seed=0)
-    return GraphSketch(
-        n=n, m=n, s=1, rows_per_column=rows, signs_per_column=signs,
-        gamma=None, provenance=prov,
-    )
+    return GraphSketch(n=n, m=n, s=1, rows_per_column=rows, signs_per_column=signs)
 
 
 def gaussian_sketch_new(n: int, m: int, rng: Prng) -> GaussianSketch:
@@ -165,8 +139,7 @@ def gaussian_sketch_new(n: int, m: int, rng: Prng) -> GaussianSketch:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
     entries = rng.split(_ROW_STREAM).normal(m * n).reshape((m, n), order="F")
     entries /= math.sqrt(m)
-    prov = SketchProvenance(method="gaussian", n=n, m=m, s=0, gamma=None, seed=rng.seed)
-    return GaussianSketch(m=m, n=n, entries=entries, provenance=prov)
+    return GaussianSketch(m=m, n=n, entries=entries)
 
 
 def expander_sketch_params(
@@ -244,10 +217,10 @@ def sketch_densify(op: SketchOperator) -> np.ndarray:
 
 
 def sketch_to_graph(op: GraphSketch) -> BipartiteGraph:
-    """Forget signs and values: columns become left vertices, rows right ones."""
+    """Forget signs and values: columns become left vertices, rows right ones.
+
+    The adjacency is ``op.rows_per_column`` itself, unsorted and not copied.
+    """
     if not isinstance(op, GraphSketch):
         raise TypeError("sketch_to_graph needs a GraphSketch")
-    adjacency = np.sort(op.rows_per_column, axis=1)
-    return BipartiteGraph(
-        left_count=op.n, right_count=op.m, degree=op.s, adjacency=adjacency
-    )
+    return BipartiteGraph(op.n, op.m, op.s, adjacency=op.rows_per_column)

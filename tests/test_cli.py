@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import re
 from pathlib import Path
 
@@ -462,6 +463,29 @@ def test_magical_delta_row_per_m(tmp_path):
     assert len(rows) == 2
     assert all(r[12] == "failure_rate" for r in rows)
     assert all(0.0 <= float(r[13]) <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("command, cfg_text, csv_digest, witness_digest", [
+    ("magical-delta", "n = 400\ns = 2\nk = 10\nm_values = 20,40,80,160\ntrials = 150\nseed = 42\n",
+     "6b53045ec567ad6202df052e1b4874729e433c98b14820c6e4f8b086e809481d", None),
+    ("verify-graph", "n = 60\ns = 4\nk = 3\neps = 0.5\nm_values = 8,16,24,48,96\ntrials = 3\n"
+                     "row_mode = subset\nseed = 42\n",
+     "b852312e1411f3ec45bb393253745da5b207120e835917ea7e266298e4835dd9",
+     "3bc085535ac13482dd3b61ee95abcd771c3dc08abbf3c2d6be04f9ebaa43ccd0"),
+], ids=["magical-delta", "verify-graph"])
+def test_graph_command_bytes_are_pinned(tmp_path, command, cfg_text, csv_digest, witness_digest):
+    # both outcomes occur: uncovered trials at m = 20, 40; witnesses of sizes 2 and 3
+    cfg_file = tmp_path / "g.cfg"
+    cfg_file.write_text(cfg_text)
+    out = tmp_path / "g.csv"
+    assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert {float(r[13]) > 0.0 for r in _rows(out)} == {True, False}
+    text = "\n".join(_without_time(out))
+    assert hashlib.sha256(text.encode()).hexdigest() == csv_digest
+    witness = tmp_path / "g.csv.witness.txt"
+    assert witness.exists() == (witness_digest is not None)
+    if witness_digest is not None:
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_digest
 
 
 def test_gen_then_sweep_from_file(tmp_path):

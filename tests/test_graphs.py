@@ -218,7 +218,39 @@ def test_matching_agrees_with_hall_oracle(seed):
     n, m, s = 10, 12, 1 + rng.int_below(3)
     g = random_graph(n, m, s, 94 + seed)
     c = set(int(x) for x in rng.subset(n, 8))
-    assert max_matching_covers(g, c) == hall_condition(g, c)
+    want = hall_condition(g, c)
+    assert max_matching_covers(g, c) == want
+    rows, r = g.adjacency.tolist(), random.Random(seed)
+    for row in rows:  # any order within a row, as sketch_to_graph leaves it
+        r.shuffle(row)
+    shuffled = BipartiteGraph(n, m, s, np.array(rows, dtype=np.int64))
+    assert max_matching_covers(shuffled, c) == want
+
+
+def chain_graph(length, right_zero=True):
+    """Left i < length has rows [i + 1, i], the last left vertex [length, length - 1].
+
+    Kuhn's search takes 0..length-1 to 1..length; the last vertex then needs
+    an augmenting path through every earlier one, ending at right vertex 0.
+    Without right vertex 0, left 0 gets [1, 2] and no matching covers all.
+    """
+    rows = [[i + 1, i] for i in range(length)] + [[length, length - 1]]
+    if not right_zero:
+        rows[0] = [1, 2]
+    return BipartiteGraph(length + 1, length + 1, 2, np.array(rows, dtype=np.int64))
+
+
+def test_matching_long_augmenting_path_needs_no_recursion():
+    g = chain_graph(5000)
+    assert max_matching_covers(g, range(5001))
+    assert not max_matching_covers(chain_graph(5000, right_zero=False), range(5001))
+
+
+def test_matching_repeated_ids_do_not_cover():
+    g = identity_graph(4)
+    assert not max_matching_covers(g, [1, 1])
+    assert not max_matching_covers(g, [0, 2, 3, 2])
+    assert max_matching_covers(g, [0, 2, 3])
 
 
 def test_expansion_implies_matching():

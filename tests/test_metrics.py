@@ -14,7 +14,6 @@ from sketchbench.metrics import (
 from sketchbench.rng import Prng
 from sketchbench.sketch import (
     GaussianSketch,
-    SketchProvenance,
     expander_sketch_params,
     gaussian_sketch_new,
     graph_sketch_new,
@@ -28,14 +27,12 @@ def unit_vector(n, seed):
 
 
 def zero_operator(n, m):
-    prov = SketchProvenance(method="zero", n=n, m=m, s=0, gamma=None, seed=0)
-    return GaussianSketch(m=m, n=n, entries=np.zeros((m, n)), provenance=prov)
+    return GaussianSketch(m=m, n=n, entries=np.zeros((m, n)))
 
 
 def diag_operator(values):
     d = len(values)
-    prov = SketchProvenance(method="diag", n=d, m=d, s=0, gamma=None, seed=0)
-    return GaussianSketch(m=d, n=d, entries=np.diag(values), provenance=prov)
+    return GaussianSketch(m=d, n=d, entries=np.diag(values))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from sketchbench.pipelines import (
 from sketchbench.rng import Prng
 from sketchbench.sketch import (
     GaussianSketch,
-    SketchProvenance,
     gaussian_sketch_new,
     graph_sketch_new,
     identity_sketch,
@@ -26,8 +25,7 @@ def fro(a):
 
 
 def zero_operator(n, m):
-    prov = SketchProvenance(method="zero", n=n, m=m, s=0, gamma=None, seed=0)
-    return GaussianSketch(m=m, n=n, entries=np.zeros((m, n)), provenance=prov)
+    return GaussianSketch(m=m, n=n, entries=np.zeros((m, n)))
 
 
 # ---------------------------------------------------------------------------
