@@ -55,15 +55,6 @@ def _check_left_ids(g: BipartiteGraph, c) -> list[int]:
     return ids
 
 
-def neighborhood(g: BipartiteGraph, c) -> set[int]:
-    """Union of the adjacency lists of the left ids in c."""
-    ids = _check_left_ids(g, c)
-    out: set[int] = set()
-    for x in ids:
-        out.update(int(v) for v in g.adjacency[x])
-    return out
-
-
 @dataclass
 class ExpansionResult:
     holds: bool

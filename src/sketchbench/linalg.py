@@ -12,13 +12,16 @@ Algorithm choices, pinned for reproducibility:
   and R is multiplied back at the end; the scaling is exact, and it keeps
   the squared norms inside the float64 range for any input scale.  One
   private Householder core does this prescale for every routine here, and
-  forms Q only for ``thin_qr``, ``svd`` and ``lstsq_exact``.
+  forms Q only for ``thin_qr``, ``lstsq_exact`` and a wide input to ``svd``.
 * ``svd`` and ``singular_values``: one-sided Jacobi rotations after that
-  QR, so the rotation phase always runs on a square min(n,d) matrix;
-  ``singular_values`` takes R without ever forming Q.  A sweep visits the
-  column pairs in round-robin order (Brent & Luk 1985): d - 1 rounds of
-  d/2 disjoint pairs, or d rounds with one column sitting out each round
-  when d is odd, so a whole round is rotated at once by array operations.
+  QR, so the rotation phase always runs on a square min(n,d) matrix.  A
+  tall input is factored as R alone, never Q; ``svd`` accumulates V from
+  the rotations of R's columns and forms no U.  A wide input A is factored
+  through Aᵀ = QR: Jacobi on the square Rᵀ accumulates an orthogonal V',
+  and V = Q V'.  A sweep visits the column pairs in round-robin order
+  (Brent & Luk 1985): d - 1 rounds of d/2 disjoint pairs, or d rounds with
+  one column sitting out each round when d is odd, so a whole round is
+  rotated at once by array operations.
   Column norms are tracked with the Rutishauser update and refreshed once
   per sweep.  Sweeps are capped at 60; hitting the cap raises
   ConvergenceError carrying the worst remaining off-diagonal ratio.  This
@@ -30,9 +33,11 @@ Algorithm choices, pinned for reproducibility:
   in the same way, forms Q^T b and back-substitutes, so the solution is
   right at any input scale too.  ``lstsq_exact(a, b)`` is the two in a row.
 
-Sign convention for the SVD: each column of U has its largest-magnitude
-entry positive (ties broken by lowest row index), with the matching V column
-flipped in tandem.
+The signs of V's columns are not normalized: each is the one the rotations
+leave, the same for the same input.  Every caller reads V only where a
+column sign flip changes no bit of its result, because negation is exact:
+V Σ^-1 Vᵀ in ``metrics.distortion``, and the rank-k projection
+(A V_k) V_kᵀ with V_k = Q W_k in ``pipelines.lowrank_approx``.
 """
 
 from __future__ import annotations
@@ -74,19 +79,15 @@ class RankDeficiencyError(ValueError):
 
 @dataclass
 class SvdResult:
-    """Thin SVD triple A = U @ diag(singular_values) @ V.T.
+    """Singular values and right singular vectors: A V = U diag(singular_values).
 
-    U is n x r and V is d x r with orthonormal columns, r = min(n, d),
-    singular values descending and nonnegative.
+    V is d x r with orthonormal columns, r = min(n, d), singular values
+    descending and nonnegative.  U is not formed, and the column signs of V
+    are not normalized.
     """
 
-    U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.singular_values)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -252,90 +253,31 @@ def _one_sided_jacobi(w: np.ndarray, accumulate_v: bool) -> np.ndarray | None:
     )
 
 
-def _complete_orthonormal(columns: np.ndarray, filled: int) -> np.ndarray:
-    """Fill columns[:, filled:] with an orthonormal completion of the first ones.
+def svd(a) -> SvdResult:
+    """Singular values and right singular vectors, min(n, d) of each.
 
-    Uses coordinate-vector candidates with two Gram-Schmidt passes each, so
-    the result stays orthonormal to machine precision even when a candidate
-    has a small residual.
-    """
-    d = columns.shape[0]
-    used = columns[:, :filled].copy()
-    count = filled
-    for cand in range(d):
-        if count == columns.shape[1]:
-            break
-        vec = np.zeros(d)
-        vec[cand] = 1.0
-        for _ in range(2):
-            vec = vec - used[:, :count] @ (used[:, :count].T @ vec)
-        nrm = _norm(vec)
-        if nrm < 1e-3:
-            continue
-        vec /= nrm
-        columns[:, count] = vec
-        used = np.concatenate([used, vec[:, None]], axis=1)
-        count += 1
-    if count != columns.shape[1]:
-        raise RuntimeError("orthonormal completion ran out of candidates")
-    return columns
-
-
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    for j in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        if u[idx, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-
-
-def _jacobi_columns(a, accumulate_v: bool):
-    """The start that svd and singular_values share.
-
-    A wide input is transposed so the rest sees n >= d, then factored as
-    2**e Q w (``_householder_qr``, which forms Q only for svd); the columns
-    of w are orthogonalized in place.  Returns (q, w, sig, v, e, transposed):
-    sig holds the column norms of w, that is the singular values of the
-    scaled input, unsorted; 2**e * sig are those of the input.
+    Tall: Jacobi on R (no Q) with V accumulated.  Wide: Aᵀ = 2**e Q R, Jacobi
+    on Rᵀ with V' accumulated, and V = Q V'; V' is orthogonal, so every
+    column of V is a unit vector even where the singular value is 0.
     """
     a = _as_matrix(a)
-    transposed = a.shape[0] < a.shape[1]
-    if transposed:
-        a = a.T
-    q, w, e = _householder_qr(a, form_q=accumulate_v)
-    v = _one_sided_jacobi(w, accumulate_v)
+    wide = a.shape[0] < a.shape[1]
+    q, w, e = _householder_qr(a.T if wide else a, form_q=wide)
+    if wide:
+        w = w.T
+    v = _one_sided_jacobi(w, accumulate_v=True)
     sig = np.sqrt(np.sum(w * w, axis=0))
-    return q, w, sig, v, e, transposed
-
-
-def svd(a) -> SvdResult:
-    """Full thin SVD with r = min(n, d) triples."""
-    q, w, sig, v, e, transposed = _jacobi_columns(a, accumulate_v=True)
-    d = w.shape[1]
     order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    w = w[:, order]
     v = v[:, order]
-    u_r = np.zeros((d, d))
-    filled = 0
-    for j in range(d):
-        if sig[j] > 0.0:
-            u_r[:, j] = w[:, j] / sig[j]
-            filled = j + 1
-    if filled < d:
-        sig[filled:] = 0.0
-        _complete_orthonormal(u_r, filled)
-    u = q @ u_r
-    _fix_signs(u, v)
-    sig = np.ldexp(sig, e)
-    if transposed:
-        return SvdResult(U=v, singular_values=sig, V=u)
-    return SvdResult(U=u, singular_values=sig, V=v)
+    return SvdResult(singular_values=np.ldexp(sig[order], e), V=q @ v if wide else v)
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values only, descending; skips all U/V accumulation."""
-    _, _, sig, _, e, _ = _jacobi_columns(a, accumulate_v=False)
+    """Singular values only, descending; R alone, with no Q and no V."""
+    a = _as_matrix(a)
+    _, w, e = _householder_qr(a.T if a.shape[0] < a.shape[1] else a, form_q=False)
+    _one_sided_jacobi(w, accumulate_v=False)
+    sig = np.sqrt(np.sum(w * w, axis=0))
     sig[::-1].sort()
     return np.ldexp(sig, e)
 
@@ -387,7 +329,7 @@ def lstsq_factor(a) -> LstsqFactor:
 def lstsq_exact(a, b) -> np.ndarray:
     """Least-squares solution argmin_x of the residual norm, via thin QR.
 
-    ``lstsq_factor(a).solve(b)``: A and b are prescaled separately, as in
-    svd, so the result is right at any input scale.
+    ``lstsq_factor(a).solve(b)``: A and b are prescaled separately, so the
+    result is right at any input scale.
     """
     return lstsq_factor(a).solve(b)

@@ -14,6 +14,7 @@ values bit-exactly.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -280,8 +281,8 @@ def gen_low_rank_plus_noise(n: int, d: int, k: int, noise_sigma: float, rng: Prn
     """G1 @ G2 + noise_sigma * E with G1 (n x k), G2 (k x d), E (n x d) standard normal."""
     if not 1 <= k <= min(n, d):
         raise ValueError(f"need 1 <= k <= min(n, d), got k={k} for {n}x{d}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     g1 = gen_gaussian(n, k, rng)
     g2 = gen_gaussian(k, d, rng)
     e = gen_gaussian(n, d, rng)

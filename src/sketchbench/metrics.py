@@ -8,13 +8,9 @@ Two permanently separate code paths compute it.  ``distortion`` evaluates
 the formula, with (AᵀA)^{-1/2} = V Σ^{-1} Vᵀ from the SVD of A and the norm
 as the largest singular value; ``distortion_via_basis`` uses the algebraic
 identity eta = max_i |1 - sigma_i(SU)^2| for an orthonormal basis U of A's
-column space.  They stay as mutual oracles; the
-basis route is what sweeps use (it is faster and better conditioned).
-
-``check_subspace_embedding`` records two epsilon conventions side by side,
-because the literature states the guarantee both on squared singular values
-(|1 - sigma^2| <= eps) and on the values themselves (|1 - sigma| <= eps).
-Neither is canonical here; callers read the boolean they need.
+column space.  They stay as mutual oracles; the basis route is what sweeps
+use (it is faster and better conditioned).  S embeds the column space with
+|1 - sigma_i^2| <= eps for every i exactly when eta <= eps.
 
 The Monte Carlo estimator ``jlt_failure_rate`` takes a ``factory``: a
 callable mapping a Prng to a fresh sketch operator.  Trials use
@@ -41,14 +37,6 @@ class DistortionResult:
     sigma_min: float
     sigma_max: float
     method: str  # "definition" or "basis"
-
-
-@dataclass
-class EmbeddingCheck:
-    eps: float
-    holds_squared: bool   # |1 - sigma_i^2| <= eps for all i
-    holds_linear: bool    # |1 - sigma_i|   <= eps for all i
-    singular_values: np.ndarray
 
 
 def _fro(a: np.ndarray) -> float:
@@ -95,42 +83,22 @@ def _check_orthonormal(u: np.ndarray) -> None:
         raise ValueError("U does not have orthonormal columns within 1e-10")
 
 
-def _sketched_spectrum(op: SketchOperator, u) -> np.ndarray:
-    """All d singular values of S @ U, descending, for an orthonormal n x d U.
+def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
+    """Distortion from the singular values of S @ U, U an orthonormal n x d basis.
 
     With fewer sketch rows than d, S @ U has d - m structural zeros that the
-    factorization does not return; they are appended here.
+    factorization does not return; they are counted here, so sigma_min is 0.
     """
     u = np.asarray(u, dtype=np.float64)
     _check_orthonormal(u)
     d = u.shape[1]
     if d == 0:
-        return np.empty(0)
-    sig = singular_values(sketch_apply(op, u))
-    return np.concatenate([sig, np.zeros(d - len(sig))])
-
-
-def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
-    """Distortion from the singular values of S @ U, U an orthonormal basis."""
-    sig = _sketched_spectrum(op, u)
-    if len(sig) == 0:
         return DistortionResult(eta=0.0, sigma_min=1.0, sigma_max=1.0, method="basis")
+    sig = singular_values(sketch_apply(op, u))
+    sig = np.concatenate([sig, np.zeros(d - len(sig))])
     eta = float(np.max(np.abs(1.0 - sig**2)))
     return DistortionResult(
         eta=eta, sigma_min=float(sig[-1]), sigma_max=float(sig[0]), method="basis"
-    )
-
-
-def check_subspace_embedding(op: SketchOperator, u, eps: float) -> EmbeddingCheck:
-    """Evaluate both epsilon conventions on the singular values of S @ U."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    sig = _sketched_spectrum(op, u)
-    return EmbeddingCheck(
-        eps=eps,
-        holds_squared=bool(np.all(np.abs(1.0 - sig**2) <= eps)),
-        holds_linear=bool(np.all(np.abs(1.0 - sig) <= eps)),
-        singular_values=sig,
     )
 
 

@@ -98,7 +98,9 @@ def lowrank_approx(a, k: int, op: SketchOperator) -> LowRankResult:
     A's row count), so Y = SA summarizes A's rows.  Requires m >= k and
     1 <= k <= min(n, d).  A sketch whose numerical rank falls below k is
     flagged ``rank_deficient`` and the pipeline continues with the trailing
-    basis directions rather than aborting.
+    basis directions rather than aborting.  The column signs of ``V_k``
+    are not normalized (see ``linalg``); the error and ratio do not depend
+    on them.
     """
     a = densify(a)
     n, d = a.shape

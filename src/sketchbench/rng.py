@@ -54,15 +54,11 @@ def mix64(z: int) -> int:
 
 
 class Prng:
-    """Counter-based SplitMix64 stream, reproducible from (seed, stream_id)."""
+    """Counter-based SplitMix64 stream, reproducible from its seed."""
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self.stream_id = stream_id & _MASK64
         self.counter = 0
-
-    def __repr__(self):
-        return f"Prng(seed={self.seed:#018x}, stream_id={self.stream_id}, counter={self.counter})"
 
     def split(self, stream_id: int) -> "Prng":
         """Child stream determined by (self.seed, stream_id) only.
@@ -70,9 +66,7 @@ class Prng:
         Splitting is independent of the parent's position, and splitting the
         same id twice gives the same stream.
         """
-        child_seed = mix64(self.seed ^ mix64((stream_id + _GOLDEN) & _MASK64))
-        child = Prng(child_seed, stream_id=stream_id & _MASK64)
-        return child
+        return Prng(mix64(self.seed ^ mix64((stream_id + _GOLDEN) & _MASK64)))
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
@@ -89,14 +83,6 @@ class Prng:
             z *= np.uint64(0x94D049BB133111EB)
             z ^= z >> np.uint64(31)
         return z
-
-    def next_u64(self) -> int:
-        self.counter += 1
-        return mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
-
-    def uniform(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on [0, 1), 53-bit resolution."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal variates via Box-Muller."""
@@ -138,9 +124,6 @@ class Prng:
                 self.counter = start + int(good[-1]) + 1
         return out
 
-    def int_below(self, bound: int) -> int:
-        return int(self.integers_below(bound, 1)[0])
-
     def signs(self, n: int) -> np.ndarray:
         """``n`` values in {-1.0, +1.0}, one raw draw per value (bit 0)."""
         return np.where(self.raw(n) & np.uint64(1), 1.0, -1.0)
@@ -148,8 +131,9 @@ class Prng:
     def subset(self, n: int, k: int) -> np.ndarray:
         """Uniform k-subset of range(n) without replacement (partial Fisher-Yates).
 
-        Step i draws ``int_below(n - i)`` by bitmask rejection, walking one raw
-        block as Python ints; the counter ends just after the last draw used.
+        Step i draws one integer below n - i by bitmask rejection, walking
+        one raw block as Python ints; the counter ends just after the last
+        draw used.
         """
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")

@@ -1,6 +1,6 @@
 """Sketch operator construction and application.
 
-Three operator families share one calling convention:
+Two operator families share one calling convention:
 
 * ``GraphSketch`` — each of the n columns holds exactly s nonzeros of value
   ±1/√s on distinct rows.  Rows are placed by the block rule: the i-th
@@ -11,8 +11,6 @@ Three operator families share one calling convention:
   ``row_mode="subset"`` draws a uniform s-subset of all m rows instead.
 * ``GaussianSketch`` — dense i.i.d. N(0, 1/m) entries; the 1/√m scale is
   folded into generation so that E‖Sx‖² = ‖x‖² holds for every family here.
-* identity — a degenerate s=1 graph sketch whose hash is the identity map,
-  used as the do-nothing baseline.
 
 Randomness for row placement and for signs comes from two child streams
 split off the generator passed in, so the generator's seed alone
@@ -48,19 +46,6 @@ class GraphSketch:
     @property
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.s)
-
-    def validate(self) -> None:
-        if self.rows_per_column.shape != (self.n, self.s):
-            raise ValueError("rows_per_column must be n x s")
-        if self.signs_per_column.shape != (self.n, self.s):
-            raise ValueError("signs_per_column must be n x s")
-        if self.rows_per_column.min() < 0 or self.rows_per_column.max() >= self.m:
-            raise ValueError("row index out of range")
-        for j in range(self.n):
-            if len(set(self.rows_per_column[j])) != self.s:
-                raise ValueError(f"column {j} has repeated rows")
-        if not np.all(np.abs(self.signs_per_column) == 1.0):
-            raise ValueError("signs must be +1 or -1")
 
 
 @dataclass
@@ -124,13 +109,6 @@ def graph_sketch_new(
             rows[j, :] = rows_rng.subset(m, s)
         signs[:, :] = signs_rng.signs(n * s).reshape(n, s)
     return GraphSketch(n=n, m=m, s=s, rows_per_column=rows, signs_per_column=signs)
-
-
-def identity_sketch(n: int) -> GraphSketch:
-    """s=1 sketch with the identity row map and +1 signs: S @ A == A."""
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    signs = np.ones((n, 1))
-    return GraphSketch(n=n, m=n, s=1, rows_per_column=rows, signs_per_column=signs)
 
 
 def gaussian_sketch_new(n: int, m: int, rng: Prng) -> GaussianSketch:
@@ -203,17 +181,6 @@ def sketch_apply(op: SketchOperator, a) -> np.ndarray:
         np.add.at(out, op.rows_per_column[:, i], op.signs_per_column[:, i, None] * dense)
     out *= scale
     return out
-
-
-def sketch_densify(op: SketchOperator) -> np.ndarray:
-    """Materialize the m x n operator (test oracle for the fast apply)."""
-    if isinstance(op, GaussianSketch):
-        return op.entries.copy()
-    dense = np.zeros((op.m, op.n))
-    cols = np.arange(op.n)
-    for i in range(op.s):
-        dense[op.rows_per_column[:, i], cols] = op.signs_per_column[:, i] * op.scale
-    return dense
 
 
 def sketch_to_graph(op: GraphSketch) -> BipartiteGraph:

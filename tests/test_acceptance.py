@@ -11,21 +11,21 @@ import time
 
 import numpy as np
 import pytest
+from oracles import neighborhood, sketch_densify
 
 from sketchbench.cli import main as cli_main
 from sketchbench.graphs import (
     BipartiteGraph,
     estimate_magical_delta,
     max_matching_covers,
-    neighborhood,
     verify_expansion,
 )
 from sketchbench.linalg import thin_qr
 from sketchbench.matrices import CsrMatrix, densify, gen_gaussian, gen_low_rank_plus_noise
-from sketchbench.metrics import check_subspace_embedding, distortion, distortion_via_basis
+from sketchbench.metrics import distortion, distortion_via_basis
 from sketchbench.pipelines import lowrank_approx, sketch_and_solve_lsq
 from sketchbench.rng import KwiseHash, Prng
-from sketchbench.sketch import gaussian_sketch_new, graph_sketch_new, sketch_apply, sketch_densify
+from sketchbench.sketch import gaussian_sketch_new, graph_sketch_new, sketch_apply
 
 # Pinned by scripts/calibrate_magical_delta.py: zero failures observed in
 # 10000 trials at n=1000, m=110, s=2, k=10, so one order of magnitude of
@@ -82,7 +82,8 @@ def test_c02_fast_apply_matches_densified_operator():
     for seed in range(50):
         rng = Prng(21_000 + seed)
         dense = gen_gaussian(60, 9, rng.split(0))
-        mask = rng.split(1).uniform(60 * 9).reshape(60, 9) < 0.25
+        uniform = (rng.split(1).raw(60 * 9) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        mask = uniform.reshape(60, 9) < 0.25
         rows, cols = np.nonzero(mask)
         sparse = CsrMatrix.from_coo(rows, cols, dense[mask], (60, 9))
         for s in (1, 2, 4, 8):
@@ -204,9 +205,9 @@ def test_c07_subspace_embedding_guarantee():
     etas4 = []
     for t in range(100):
         op = graph_sketch_new(1000, 1000, 2, master.split(100 + t))
-        chk = check_subspace_embedding(op, u, EMBED_EPS)
-        held += int(chk.holds_squared)
-        etas.append(float(np.max(np.abs(1.0 - chk.singular_values**2))))
+        eta = distortion_via_basis(u, op).eta
+        held += int(eta <= EMBED_EPS)
+        etas.append(eta)
         op4 = graph_sketch_new(1000, 4000, 2, master.split(10_000 + t))
         etas4.append(distortion_via_basis(u, op4).eta)
     ratio = float(np.median(etas4) / np.median(etas))

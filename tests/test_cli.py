@@ -465,27 +465,56 @@ def test_magical_delta_row_per_m(tmp_path):
     assert all(0.0 <= float(r[13]) <= 1.0 for r in rows)
 
 
-@pytest.mark.parametrize("command, cfg_text, csv_digest, witness_digest", [
+@pytest.mark.parametrize("command, cfg_text, outcomes, csv_digest, witness_digest", [
+    # uncovered trials at m = 20, 40
     ("magical-delta", "n = 400\ns = 2\nk = 10\nm_values = 20,40,80,160\ntrials = 150\nseed = 42\n",
+     {("failure_rate", True), ("failure_rate", False)},
      "6b53045ec567ad6202df052e1b4874729e433c98b14820c6e4f8b086e809481d", None),
+    # witnesses of sizes 2 and 3
     ("verify-graph", "n = 60\ns = 4\nk = 3\neps = 0.5\nm_values = 8,16,24,48,96\ntrials = 3\n"
                      "row_mode = subset\nseed = 42\n",
+     {("expansion_holds", True), ("expansion_holds", False)},
      "b852312e1411f3ec45bb393253745da5b207120e835917ea7e266298e4835dd9",
      "3bc085535ac13482dd3b61ee95abcd771c3dc08abbf3c2d6be04f9ebaa43ccd0"),
-], ids=["magical-delta", "verify-graph"])
-def test_graph_command_bytes_are_pinned(tmp_path, command, cfg_text, csv_digest, witness_digest):
-    # both outcomes occur: uncovered trials at m = 20, 40; witnesses of sizes 2 and 3
+    # block and gamma modes; m = 8 < d = 12 leaves structural zeros
+    ("distortion-sweep", "input = gen:gaussian:300x12\nmethods = graph:s=1,graph:s=2,graph:s=4:gamma=4\n"
+                         "m_values = 8,24,48\ntrials = 2\nseed = 42\n",
+     {("distortion", True)},
+     "aaeb19b7ac6976af0d67c4e7e7aebf688c988c8aa5f6f16c5341bb343cef0651", None),
+    ("lsq-bench", "input = gen:gaussian:400x6\nmethods = graph:s=2,graph:s=3\nm_values = 30,60\n"
+                  "trials = 2\nrow_mode = subset\nseed = 42\n",
+     {("lsq_ratio", True)},
+     "9eb9647fea2394ef33e5813c2b3849daeda6418aae3fedec8d3c1c7525837352", None),
+    # m_eff = 2 < k skips; m = 24 > d = 16 takes the Gram branch
+    ("lowrank-sweep", "input = gen:lowrank:120x16:4:0.01\nmethods = graph:s=2,graph:s=4:gamma=4\n"
+                      "m_values = 2,8,24\nk = 4\ntrials = 2\nseed = 42\n",
+     {("skipped_m_below_k", True), ("lowrank_ratio", True)},
+     "d4c078834583deaefc147f0f98cce5e1d5ea308dde24cc37864ea66489d30331", None),
+], ids=["magical-delta", "verify-graph", "distortion-sweep", "lsq-bench", "lowrank-sweep"])
+def test_graph_command_bytes_are_pinned(tmp_path, command, cfg_text, outcomes, csv_digest,
+                                        witness_digest):
+    # graph methods only: their rows do not depend on how many threads BLAS runs
     cfg_file = tmp_path / "g.cfg"
     cfg_file.write_text(cfg_text)
     out = tmp_path / "g.csv"
     assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 0
-    assert {float(r[13]) > 0.0 for r in _rows(out)} == {True, False}
+    assert {(r[12], float(r[13]) > 0.0) for r in _rows(out)} == outcomes
     text = "\n".join(_without_time(out))
     assert hashlib.sha256(text.encode()).hexdigest() == csv_digest
     witness = tmp_path / "g.csv.witness.txt"
     assert witness.exists() == (witness_digest is not None)
     if witness_digest is not None:
         assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_digest
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["distortion-sweep", "lowrank-sweep", "lsq-bench", "gen"])
+def test_non_finite_noise_sigma_exits_2_before_the_output_opens(tmp_path, capsys, command, sigma):
+    cfg = _write_sweep_cfg(tmp_path, input=f"gen:lowrank:64x8:2:{sigma}", k="2")
+    out = tmp_path / "x.out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "noise_sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_then_sweep_from_file(tmp_path):

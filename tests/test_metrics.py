@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sketchbench.linalg import RankDeficiencyError, svd, thin_qr
+from sketchbench.linalg import RankDeficiencyError, thin_qr
 from sketchbench.matrices import gen_gaussian
 from sketchbench.metrics import (
-    check_subspace_embedding,
     distortion,
     distortion_via_basis,
     jlt_failure_rate,
@@ -17,7 +16,6 @@ from sketchbench.sketch import (
     expander_sketch_params,
     gaussian_sketch_new,
     graph_sketch_new,
-    identity_sketch,
 )
 
 
@@ -33,6 +31,10 @@ def zero_operator(n, m):
 def diag_operator(values):
     d = len(values)
     return GaussianSketch(m=d, n=d, entries=np.diag(values))
+
+
+def identity_operator(n):
+    return diag_operator(np.ones(n))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,7 @@ def test_distortion_scale_invariance():
 
 def test_basis_identity_zero():
     u, _ = thin_qr(gen_gaussian(30, 4, Prng(115)))
-    res = distortion_via_basis(u, identity_sketch(30))
+    res = distortion_via_basis(u, identity_operator(30))
     assert res.method == "basis"
     assert res.eta <= 1e-10
 
@@ -116,14 +118,11 @@ def test_basis_keeps_structural_zeros_when_m_below_d():
     res = distortion_via_basis(u, op)
     assert res.sigma_min == 0.0
     assert res.eta >= 1.0
-    chk = check_subspace_embedding(op, u, 0.9)
-    assert not chk.holds_squared
-    assert chk.singular_values.shape == (20,)
 
 
 def test_basis_rejects_non_orthonormal():
     with pytest.raises(ValueError):
-        distortion_via_basis(2.0 * np.eye(3), identity_sketch(3))
+        distortion_via_basis(2.0 * np.eye(3), identity_operator(3))
 
 
 def test_definition_equals_basis_on_random_instances():
@@ -139,55 +138,25 @@ def test_definition_equals_basis_on_random_instances():
         from sketchbench.sketch import sketch_apply
 
         lit = distortion(a, sketch_apply(op, a)).eta
-        bas = distortion_via_basis(svd(a).U, op).eta
+        bas = distortion_via_basis(thin_qr(a)[0], op).eta
         assert lit == pytest.approx(bas, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
-# subspace-embedding check
-
-
-def test_embedding_identity_sketch_holds():
-    u, _ = thin_qr(gen_gaussian(20, 3, Prng(119)))
-    for eps in (1e-6, 0.1, 2.0):
-        chk = check_subspace_embedding(identity_sketch(20), u, eps)
-        assert chk.holds_squared and chk.holds_linear
+# the embedding condition |1 - sigma_i^2| <= eps, read as eta <= eps
 
 
 def test_embedding_zero_dimensional_vacuous():
-    chk = check_subspace_embedding(identity_sketch(5), np.zeros((5, 0)), 0.5)
-    assert chk.holds_squared and chk.holds_linear
-    assert chk.singular_values.size == 0
+    res = distortion_via_basis(np.zeros((5, 0)), identity_operator(5))
+    assert res.eta == 0.0
+    assert res.sigma_min == res.sigma_max == 1.0
 
 
 def test_embedding_zero_operator_fails_below_one():
     u, _ = thin_qr(gen_gaussian(10, 2, Prng(120)))
-    chk = check_subspace_embedding(zero_operator(10, 6), u, 0.5)
-    assert not chk.holds_squared
-    assert not chk.holds_linear
-    np.testing.assert_allclose(chk.singular_values, 0.0, atol=1e-300)
-
-
-def test_embedding_boundary_at_measured_eta():
-    u, _ = thin_qr(gen_gaussian(100, 5, Prng(121)))
-    op = graph_sketch_new(100, 40, 2, Prng(122))
-    eta = distortion_via_basis(u, op).eta
-    assert eta > 1e-6
-    assert check_subspace_embedding(op, u, eta).holds_squared
-    assert not check_subspace_embedding(op, u, eta * (1 - 1e-9) - 1e-8).holds_squared
-
-
-def test_embedding_conventions_are_independent():
-    # sigma = 1.3: squared deviation 0.69, linear deviation 0.3; eps = 0.5
-    # separates the two conventions
-    chk = check_subspace_embedding(diag_operator([1.3, 1.0]), np.eye(2), 0.5)
-    assert chk.holds_linear
-    assert not chk.holds_squared
-
-
-def test_embedding_validates_eps():
-    with pytest.raises(ValueError):
-        check_subspace_embedding(identity_sketch(4), np.eye(4), 0.0)
+    res = distortion_via_basis(u, zero_operator(10, 6))
+    assert res.eta == 1.0
+    assert res.sigma_min == res.sigma_max == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +167,7 @@ def test_jlt_identity_family_zero():
     n = 8
     x = np.zeros(n)
     x[0] = 1.0
-    assert jlt_failure_rate(lambda r: identity_sketch(n), x, 0.1, 40, Prng(132)) == 0.0
+    assert jlt_failure_rate(lambda r: identity_operator(n), x, 0.1, 40, Prng(132)) == 0.0
 
 
 def test_jlt_zero_family_always_fails():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sketchbench.linalg import RankDeficiencyError, lstsq_factor, svd
+from sketchbench.linalg import RankDeficiencyError, lstsq_factor, svd, thin_qr
 from sketchbench.matrices import gen_gaussian, gen_low_rank_plus_noise
 from sketchbench.metrics import distortion  # noqa: F401  (import cycle sanity)
 from sketchbench.pipelines import (
@@ -16,7 +16,7 @@ from sketchbench.sketch import (
     GaussianSketch,
     gaussian_sketch_new,
     graph_sketch_new,
-    identity_sketch,
+    sketch_apply,
 )
 
 
@@ -26,6 +26,10 @@ def fro(a):
 
 def zero_operator(n, m):
     return GaussianSketch(m=m, n=n, entries=np.zeros((m, n)))
+
+
+def identity_operator(n):
+    return GaussianSketch(m=n, n=n, entries=np.eye(n))
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ def test_lsq_consistent_system_recovers_exactly():
 def test_lsq_identity_sketch_matches_exact_solver():
     a = gen_gaussian(50, 5, Prng(143))
     b = Prng(144).normal(50)
-    res = sketch_and_solve_lsq(a, b, identity_sketch(50))
+    res = sketch_and_solve_lsq(a, b, identity_operator(50))
     assert res.ratio == 1.0
     assert res.sketched_residual == res.optimal_residual
 
@@ -119,7 +123,7 @@ def test_lsq_given_factor_is_bitwise_the_same(build):
 def test_lsq_validates_b():
     a = gen_gaussian(10, 2, Prng(153))
     with pytest.raises(ValueError):
-        sketch_and_solve_lsq(a, np.zeros(11), identity_sketch(10))
+        sketch_and_solve_lsq(a, np.zeros(11), identity_operator(10))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +141,9 @@ def test_best_rank_diagonal():
 
 def test_best_rank_matches_reconstruction():
     a = gen_gaussian(25, 10, Prng(155))
-    res = svd(a)
     k = 4
-    recon = res.U[:, :k] @ np.diag(res.singular_values[:k]) @ res.V[:, :k].T
-    recon_err = fro(a - recon)
+    v_k = svd(a).V[:, :k]
+    recon_err = fro(a - (a @ v_k) @ v_k.T)
     assert best_rank_k_error(a, k) == pytest.approx(recon_err, abs=1e-8)
 
 
@@ -198,6 +201,23 @@ def test_lowrank_m_exceeding_d_capped():
     assert fro(res.V_k.T @ res.V_k - np.eye(3)) < 1e-10
     assert res.ratio >= 1.0 - 1e-8
     assert res.ratio < 10.0
+
+
+def test_lowrank_wide_sketched_product_matches_numpy():
+    # m = 40 > n = 30, so B = AQ is 30 x 40 and svd takes its wide path
+    a = gen_low_rank_plus_noise(30, 60, 5, 0.01, Prng(169))
+    k = 5
+    op = graph_sketch_new(30, 40, 2, Prng(170))
+    res = lowrank_approx(a, k, op)
+    assert res.V_k.shape == (60, k)
+    assert fro(res.V_k.T @ res.V_k - np.eye(k)) < 1e-10
+    # the numpy.linalg route of perfbench/checks.py past Q: Y = SA has rank at
+    # most n < m, so Q's last m - n columns are any completion, numpy's included
+    q, _ = thin_qr(sketch_apply(op, a).T)
+    v_k = q @ np.linalg.svd(a @ q, full_matrices=False)[2][:k].T
+    err = np.linalg.norm(a - (a @ v_k) @ v_k.T)
+    opt = np.sqrt(np.sum(np.linalg.svd(a, compute_uv=False)[k:] ** 2))
+    assert res.ratio == pytest.approx(err / opt, rel=1e-10)
 
 
 def test_lowrank_validates():

@@ -5,14 +5,21 @@ from hypothesis import strategies as st
 
 from sketchbench.rng import MERSENNE61, KwiseHash, Prng, mix64
 
+GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def uniform(rng, n):
+    """n doubles on [0, 1) from the top 53 bits of n raw draws."""
+    return (rng.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
 
 def test_mix64_known_values():
     # SplitMix64 reference outputs for seed 1234567 (first three next() calls).
-    golden = 0x9E3779B97F4A7C15
     state = 1234567
     expected = [6457827717110365317, 3203168211198807973, 9817491932198370423]
     for want in expected:
-        state = (state + golden) & ((1 << 64) - 1)
+        state = (state + GOLDEN) & MASK64
         assert mix64(state) == want
 
 
@@ -21,16 +28,15 @@ def test_mix64_zero_fixed_point():
 
 
 def test_raw_matches_scalar_path():
-    rng_a = Prng(99)
-    rng_b = Prng(99)
-    block = rng_a.raw(17)
-    singles = [rng_b.next_u64() for _ in range(17)]
+    # output i of a stream with seed z is mix64(z + (i + 1) * GOLDEN)
+    block = Prng(99).raw(17)
+    singles = [mix64((99 + i * GOLDEN) & MASK64) for i in range(1, 18)]
     assert [int(x) for x in block] == singles
 
 
 def test_same_seed_same_stream():
-    a = Prng(42).uniform(100)
-    b = Prng(42).uniform(100)
+    a = uniform(Prng(42), 100)
+    b = uniform(Prng(42), 100)
     np.testing.assert_array_equal(a, b)
 
 
@@ -57,7 +63,7 @@ def test_split_streams_are_distinct():
 
 
 def test_uniform_bounds_and_moments():
-    u = Prng(1).uniform(200_000)
+    u = uniform(Prng(1), 200_000)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1 / 12) < 0.005
@@ -91,10 +97,10 @@ def test_integers_below_bound_one():
 def test_int_below_matches_vector_path():
     a = Prng(6)
     b = Prng(6)
-    singles = [a.int_below(7) for _ in range(20)]
-    # int_below consumes variable raws under rejection, so only check range/determinism
+    singles = [int(a.integers_below(7, 1)[0]) for _ in range(20)]
+    # a draw consumes variable raws under rejection, so only check range/determinism
     assert all(0 <= x < 7 for x in singles)
-    assert singles == [b.int_below(7) for _ in range(20)]
+    assert singles == [int(b.integers_below(7, 1)[0]) for _ in range(20)]
 
 
 def test_signs_values_and_balance():
@@ -141,8 +147,8 @@ def _integers_below_reference(rng, bound, n):
 
 
 def _subset_reference(rng, n, k):
-    """The partial Fisher-Yates loop that ``subset`` replaced, one
-    ``int_below`` call per step."""
+    """The partial Fisher-Yates loop that ``subset`` replaced, one bounded
+    draw per step."""
     pool = np.arange(n, dtype=np.int64)
     for i in range(k):
         j = i + int(_integers_below_reference(rng, n - i, 1)[0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import check_graph_sketch, sketch_densify
 
 from sketchbench.matrices import CsrMatrix, gen_gaussian
 from sketchbench.rng import Prng
@@ -14,9 +15,7 @@ from sketchbench.sketch import (
     expander_sketch_params,
     gaussian_sketch_new,
     graph_sketch_new,
-    identity_sketch,
     sketch_apply,
-    sketch_densify,
     sketch_to_graph,
 )
 
@@ -29,7 +28,7 @@ from sketchbench.sketch import (
 def test_graph_sketch_column_structure(s):
     m = 8 * s
     sk = graph_sketch_new(30, m, s, Prng(50))
-    sk.validate()
+    check_graph_sketch(sk)
     dense = sketch_densify(sk)
     for j in range(30):
         nz = np.nonzero(dense[:, j])[0]
@@ -73,15 +72,15 @@ def test_graph_sketch_reproducible_from_parent_seed():
 
 def test_subset_row_mode_no_block_structure_required():
     sk = graph_sketch_new(30, 10, 3, Prng(55), row_mode="subset")
-    sk.validate()
+    check_graph_sketch(sk)
     # subset mode can place several of a column's rows in one block; just
-    # require distinctness, which validate() already enforced
+    # require distinctness, which check_graph_sketch already enforced
     assert sk.rows_per_column.shape == (30, 3)
 
 
 def test_gamma_mode_structure_and_determinism():
     sk = graph_sketch_new(50, 20, 2, Prng(56), gamma=4)
-    sk.validate()
+    check_graph_sketch(sk)
     again = graph_sketch_new(50, 20, 2, Prng(56), gamma=4)
     np.testing.assert_array_equal(sk.rows_per_column, again.rows_per_column)
     np.testing.assert_array_equal(sk.signs_per_column, again.signs_per_column)
@@ -111,7 +110,7 @@ def test_gamma_differs_from_full():
 
 
 # ---------------------------------------------------------------------------
-# countsketch and identity
+# countsketch
 
 
 def test_countsketch_single_pm1_per_column():
@@ -135,13 +134,6 @@ def test_countsketch_reproducible():
     b = graph_sketch_new(20, 8, 1, Prng(61))
     np.testing.assert_array_equal(a.rows_per_column, b.rows_per_column)
     np.testing.assert_array_equal(a.signs_per_column, b.signs_per_column)
-
-
-def test_identity_sketch_is_identity():
-    a = gen_gaussian(6, 4, Prng(62))
-    sk = identity_sketch(6)
-    np.testing.assert_array_equal(sketch_apply(sk, a), a)
-    np.testing.assert_array_equal(sketch_densify(sk), np.eye(6))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ def test_fast_apply_matches_dense_oracle_csr(s):
     rng = Prng(69)
     rows, cols, vals = [], [], []
     for r in range(15):
-        c = int(rng.int_below(6))
+        c = int(rng.integers_below(6, 1)[0])
         rows.append(r)
         cols.append(c)
         vals.append(float(rng.normal(2)[0]))
@@ -344,7 +336,9 @@ def test_sketch_to_graph_roundtrip():
 def test_sketch_to_graph_identity_perfect_matching():
     from sketchbench.graphs import max_matching_covers
 
-    g = sketch_to_graph(identity_sketch(9))
+    identity = GraphSketch(n=9, m=9, s=1, rows_per_column=np.arange(9)[:, None],
+                           signs_per_column=np.ones((9, 1)))
+    g = sketch_to_graph(identity)
     assert max_matching_covers(g, range(9))
 
 
