@@ -17,10 +17,11 @@ run without; ``run_units`` formats the CSV row in the columns of
 naming every missing one, before the output is opened.
 
 Every sweep command runs on one engine, ``run_units``: the command checks
-its inputs and supplies one work unit, a function of (method, m, trial) and
-a random stream that returns a metric; the engine owns the loop, the
-streams, the timing, the thread pool and the rows.  verify-graph and
-magical-delta are one-method sweeps over the graph of the n and s keys.
+its inputs, computes once what depends on the dataset alone, and supplies
+one work unit, a function of (method, m, trial) and a random stream that
+returns a metric; the engine owns the loop, the streams, the timing, the
+thread pool and the rows.  verify-graph and magical-delta are one-method
+sweeps over the graph of the n and s keys.
 
 Every CSV cell except wall_time_ms is a pure function of (command, config,
 seed), given BLAS on one thread (OPENBLAS_NUM_THREADS=1 or the OMP/MKL
@@ -69,7 +70,7 @@ from .matrices import (
     write_matrix_market,
 )
 from .metrics import distortion_via_basis
-from .pipelines import lowrank_approx, sketch_and_solve_lsq
+from .pipelines import best_rank_k_error, lowrank_approx, sketch_and_solve_lsq
 from .rng import Prng
 from .sketch import gaussian_sketch_new, graph_sketch_new, sketch_to_graph
 
@@ -316,14 +317,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 # datasets and streams
 
 
-@dataclass
-class Dataset:
-    spec: str
-    matrix: object  # ndarray or CsrMatrix
-    n: int
-    d: int
-
-
 def _mix_stream_id(*parts) -> int:
     text = "|".join(str(p) for p in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
@@ -334,28 +327,25 @@ def _trial_stream(master: Prng, command: str, method: str, m: int, trial: int) -
     return master.split(_mix_stream_id(command, method, m, trial))
 
 
-def load_dataset(spec: str, master: Prng) -> Dataset:
-    if spec.startswith("gen:"):
-        parts = spec.split(":")
-        stream = master.split(_mix_stream_id("dataset", spec))
-        try:
-            if parts[1] == "gaussian" and len(parts) == 3:
-                n, d = (int(x) for x in parts[2].split("x"))
-                return Dataset(spec, gen_gaussian(n, d, stream), n, d)
-            if parts[1] == "lowrank" and len(parts) == 5:
-                n, d = (int(x) for x in parts[2].split("x"))
-                k = int(parts[3])
-                sigma = float(parts[4])
-                return Dataset(spec, gen_low_rank_plus_noise(n, d, k, sigma, stream), n, d)
-        except ValueError as exc:
-            raise ConfigError(f"bad generator spec {spec!r}: {exc}") from None
-        raise ConfigError(
-            f"bad generator spec {spec!r} "
-            "(expected gen:gaussian:<n>x<d> or gen:lowrank:<n>x<d>:<k>:<sigma>)"
-        )
-    matrix = read_matrix_market(spec)
-    n, d = matrix.shape
-    return Dataset(spec, matrix, n, d)
+def load_dataset(spec: str, master: Prng) -> np.ndarray:
+    """The input matrix of ``spec`` (a MatrixMarket path or a generator), dense float64."""
+    if not spec.startswith("gen:"):
+        return densify(read_matrix_market(spec))
+    parts = spec.split(":")
+    stream = master.split(_mix_stream_id("dataset", spec))
+    try:
+        if parts[1] == "gaussian" and len(parts) == 3:
+            n, d = (int(x) for x in parts[2].split("x"))
+            return gen_gaussian(n, d, stream)
+        if parts[1] == "lowrank" and len(parts) == 5:
+            n, d = (int(x) for x in parts[2].split("x"))
+            return gen_low_rank_plus_noise(n, d, int(parts[3]), float(parts[4]), stream)
+    except ValueError as exc:
+        raise ConfigError(f"bad generator spec {spec!r}: {exc}") from None
+    raise ConfigError(
+        f"bad generator spec {spec!r} "
+        "(expected gen:gaussian:<n>x<d> or gen:lowrank:<n>x<d>:<k>:<sigma>)"
+    )
 
 
 def _pool_map(fn, items, threads: int):
@@ -407,59 +397,60 @@ def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
 
 
 def run_distortion_sweep(cfg: ExperimentConfig):
-    data = load_dataset(cfg.input, Prng(cfg.seed))
-    a = densify(data.matrix)
-    if a.shape[0] < a.shape[1]:
-        raise RankDeficiencyError(
-            f"input is {a.shape[0]}x{a.shape[1]} (wide): cannot have full column rank"
-        )
+    a = load_dataset(cfg.input, Prng(cfg.seed))
+    n, d = a.shape
+    if n < d:
+        raise RankDeficiencyError(f"input is {n}x{d} (wide): cannot have full column rank")
     basis, r = thin_qr(a)
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
         raise RankDeficiencyError("input matrix is rank deficient; distortion is undefined")
 
     def unit(method, m, m_eff, trial, stream):
-        op = method.build(data.n, m_eff, stream, cfg.row_mode)
+        op = method.build(n, m_eff, stream, cfg.row_mode)
         return "distortion", distortion_via_basis(basis, op).eta
 
-    return run_units(cfg, data.spec, data.n, data.d, data.d, cfg.methods, unit)
+    return run_units(cfg, cfg.input, n, d, d, cfg.methods, unit)
 
 
 def run_lowrank_sweep(cfg: ExperimentConfig):
-    data = load_dataset(cfg.input, Prng(cfg.seed))
-    if not 1 <= cfg.k <= min(data.n, data.d):
-        raise ConfigError(f"k={cfg.k} out of range for {data.n}x{data.d} input")
+    a = load_dataset(cfg.input, Prng(cfg.seed))
+    n, d = a.shape
+    for method in cfg.methods:
+        for m in cfg.m_values:
+            if min(method.effective_m(m), d) > n:
+                raise ConfigError(f"{method.label} at m={m} needs a basis wider than the "
+                                  f"{n} rows of the {n}x{d} input")
+    # the Eckart-Young optimum: one A for every unit; refuses an out-of-range k
+    optimal = best_rank_k_error(a, cfg.k)
 
     def unit(method, m, m_eff, trial, stream):
         if m_eff < cfg.k:
             # too few sketch rows to capture a rank-k subspace; emit a
             # warning row instead of aborting the sweep
             return "skipped_m_below_k", 1.0
-        op = method.build(data.n, m_eff, stream, cfg.row_mode)
-        return "lowrank_ratio", lowrank_approx(data.matrix, cfg.k, op).ratio
+        op = method.build(n, m_eff, stream, cfg.row_mode)
+        return "lowrank_ratio", lowrank_approx(a, cfg.k, op, optimal).ratio
 
-    return run_units(cfg, data.spec, data.n, data.d, cfg.k, cfg.methods, unit)
+    return run_units(cfg, cfg.input, n, d, cfg.k, cfg.methods, unit)
 
 
 def run_lsq_bench(cfg: ExperimentConfig):
-    data = load_dataset(cfg.input, Prng(cfg.seed))
-    a = densify(data.matrix)
-    if a.shape[0] < a.shape[1]:
-        raise RankDeficiencyError(
-            f"least squares needs a tall input, got {a.shape[0]}x{a.shape[1]}"
-        )
-    # the unsketched solve's factor: one A for every unit, rank-checked here
+    a = load_dataset(cfg.input, Prng(cfg.seed))
+    n, d = a.shape
+    # the unsketched solve's factor: one A for every unit; refuses a wide or
+    # rank-deficient A
     exact = lstsq_factor(a)
 
     def unit(method, m, m_eff, trial, stream):
-        op = method.build(data.n, m_eff, stream.split(0), cfg.row_mode)
+        op = method.build(n, m_eff, stream.split(0), cfg.row_mode)
         # per-trial noisy consistent system: b = A x0 + 0.1 z
-        x0 = stream.split(1).normal(data.d)
-        noise = stream.split(2).normal(data.n)
+        x0 = stream.split(1).normal(d)
+        noise = stream.split(2).normal(n)
         b = a @ x0 + 0.1 * noise
         return "lsq_ratio", sketch_and_solve_lsq(a, b, op, exact).ratio
 
-    return run_units(cfg, data.spec, data.n, data.d, data.d, cfg.methods, unit)
+    return run_units(cfg, cfg.input, n, d, d, cfg.methods, unit)
 
 
 def _graph_method(cfg: ExperimentConfig) -> MethodSpec:
@@ -506,9 +497,9 @@ def run_magical_delta(cfg: ExperimentConfig):
 def run_gen(cfg: ExperimentConfig) -> None:
     if not cfg.input.startswith("gen:"):
         raise ConfigError("gen needs a gen:... input spec")
-    data = load_dataset(cfg.input, Prng(cfg.seed))
-    write_matrix_market(data.matrix, cfg.output)
-    sys.stderr.write(f"wrote {data.n}x{data.d} matrix to {cfg.output}\n")
+    a = load_dataset(cfg.input, Prng(cfg.seed))
+    write_matrix_market(a, cfg.output)
+    sys.stderr.write(f"wrote {a.shape[0]}x{a.shape[1]} matrix to {cfg.output}\n")
 
 
 # every command: its runner, and the config keys it cannot run without

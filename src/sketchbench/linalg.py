@@ -310,13 +310,13 @@ class LstsqFactor:
 def lstsq_factor(a) -> LstsqFactor:
     """Thin QR of A for ``lstsq_exact``, computed once for any number of right sides.
 
-    Requires n >= d and numerically full column rank (R diagonal bounded
-    away from zero relative to its largest entry).
+    Raises ``RankDeficiencyError`` unless n >= d and A has numerically full
+    column rank (R diagonal bounded away from zero relative to its largest).
     """
     a = _as_matrix(a)
     n, d = a.shape
     if n < d:
-        raise ValueError(f"lstsq_exact needs n >= d, got {n}x{d}")
+        raise RankDeficiencyError(f"least squares needs n >= d, got {n}x{d}")
     q, r, e = _householder_qr(a, form_q=True)
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():

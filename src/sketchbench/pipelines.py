@@ -6,12 +6,17 @@ for exactly solvable instances: errors at or below 1e-10 times the problem
 scale count as zero; both zero gives ratio 1, and a zero optimum with a
 nonzero sketched error gives ratio inf.
 
+The optimum depends on A alone: the caller computes it once per A and
+passes it in.
+
 The low-rank route follows the five quoted steps of the range-finder:
 Y = SA, thin QR of Yᵀ, B = AQ, rank-k SVD of B, V_k = Q @ W_k (writing W_k
 for B's right singular vectors, since the final output is also called V_k).
 When the sketch has more rows than A has columns the thin QR of Yᵀ does not
 exist; the basis is then capped at d directions, taken from the QR of the
-d x d Gram product Yᵀ Y, whose columns span the same row space.
+d x d Gram product Yᵀ Y, whose columns span the same row space.  A basis
+wider than A has rows is refused: Y then has rank at most n, and the QR
+would fill the basis with directions the sketch never saw.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, LstsqFactor, lstsq_exact, lstsq_factor, singular_values, svd, thin_qr
+from .linalg import RANK_TOL, LstsqFactor, lstsq_exact, singular_values, svd, thin_qr
 from .matrices import densify
 from .sketch import SketchOperator, sketch_apply
 
@@ -57,11 +62,11 @@ def _ratio(err: float, opt: float, scale: float) -> float:
     return err / opt
 
 
-def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor | None = None) -> LsqResult:
+def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor) -> LsqResult:
     """Solve argmin ||SAx - Sb|| and measure the result on the original system.
 
-    ``exact`` is ``lstsq_factor(a)``, the unsketched solve's factor: a caller
-    with many right sides for one A passes it in, and it is made here if not.
+    ``exact`` is ``lstsq_factor(a)``, the unsketched solve's factor, made
+    once for any number of right sides.
     """
     a = densify(a)
     b = np.asarray(b, dtype=np.float64)
@@ -70,7 +75,7 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor | None = N
     sa = sketch_apply(op, a)
     sb = sketch_apply(op, b[:, None])[:, 0]
     x_tilde = lstsq_exact(sa, sb)
-    x_star = (lstsq_factor(a) if exact is None else exact).solve(b)
+    x_star = exact.solve(b)
     sketched = _norm(a @ x_tilde - b)
     optimal = _norm(a @ x_star - b)
     return LsqResult(
@@ -91,16 +96,17 @@ def best_rank_k_error(a, k: int) -> float:
     return float(np.sqrt(np.sum(sig[k:] ** 2)))
 
 
-def lowrank_approx(a, k: int, op: SketchOperator) -> LowRankResult:
+def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRankResult:
     """Rank-k approximation through a row-space sketch.
 
     The operator is applied to A from the left (its column count must equal
-    A's row count), so Y = SA summarizes A's rows.  Requires m >= k and
-    1 <= k <= min(n, d).  A sketch whose numerical rank falls below k is
-    flagged ``rank_deficient`` and the pipeline continues with the trailing
-    basis directions rather than aborting.  The column signs of ``V_k``
-    are not normalized (see ``linalg``); the error and ratio do not depend
-    on them.
+    A's row count), so Y = SA summarizes A's rows.  ``optimal_error`` is
+    ``best_rank_k_error(a, k)``, made once per A.  Requires m >= k,
+    1 <= k <= min(n, d) and min(m, d) <= n.  A sketch whose numerical rank
+    falls below k is flagged ``rank_deficient`` and the pipeline continues
+    with the trailing basis directions rather than aborting.  The column
+    signs of ``V_k`` are not normalized (see ``linalg``); the error and
+    ratio do not depend on them.
     """
     a = densify(a)
     n, d = a.shape
@@ -109,6 +115,8 @@ def lowrank_approx(a, k: int, op: SketchOperator) -> LowRankResult:
     m = op.m
     if m < k:
         raise ValueError(f"sketch rows m={m} must be at least k={k}")
+    if min(m, d) > n:
+        raise ValueError(f"basis of min(m, d)={min(m, d)} directions exceeds the {n} rows of A")
     y = sketch_apply(op, a)
     if m <= d:
         q, r = thin_qr(y.T)
@@ -123,12 +131,10 @@ def lowrank_approx(a, k: int, op: SketchOperator) -> LowRankResult:
     v_k = q @ w_k
     approx = (a @ v_k) @ v_k.T
     err = _norm(a - approx)
-    opt = best_rank_k_error(a, k)
-    scale = _norm(a)
     return LowRankResult(
         V_k=v_k,
         sketch_error=err,
-        optimal_error=opt,
-        ratio=_ratio(err, opt, scale),
+        optimal_error=optimal_error,
+        ratio=_ratio(err, optimal_error, _norm(a)),
         rank_deficient=rank_deficient,
     )

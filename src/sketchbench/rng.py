@@ -206,7 +206,7 @@ class KwiseHash:
 
     Coefficients drawn uniformly from [0, p) give a gamma-wise independent
     family over the field (before the final reduction mod ``out_range``).
-    With the default prime 2^61 - 1 the reduction bias is below range/p and
+    ``sample`` draws over 2^61 - 1, where the reduction bias (below range/p)
     is ignored; tiny primes exist for exhaustive enumeration tests.
 
     The prime is 2^61 - 1 or below 2^32, and any other is refused at
@@ -223,14 +223,13 @@ class KwiseHash:
         _check_prime(self.prime)
 
     @classmethod
-    def sample(cls, gamma: int, out_range: int, rng: Prng, prime: int = MERSENNE61) -> "KwiseHash":
+    def sample(cls, gamma: int, out_range: int, rng: Prng) -> "KwiseHash":
         if gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {gamma}")
         if out_range < 1:
             raise ValueError(f"out_range must be >= 1, got {out_range}")
-        _check_prime(prime)
-        coeffs = tuple(int(c) for c in rng.integers_below(prime, gamma))
-        return cls(gamma=gamma, prime=prime, coefficients=coeffs, out_range=out_range)
+        coeffs = tuple(int(c) for c in rng.integers_below(MERSENNE61, gamma))
+        return cls(gamma=gamma, prime=MERSENNE61, coefficients=coeffs, out_range=out_range)
 
     def __call__(self, x: int) -> int:
         """The scalar reference: Horner's rule on Python integers."""

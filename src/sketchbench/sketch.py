@@ -120,14 +120,12 @@ def gaussian_sketch_new(n: int, m: int, rng: Prng) -> GaussianSketch:
     return GaussianSketch(m=m, n=n, entries=entries)
 
 
-def expander_sketch_params(
-    k: int, eps: float, delta: float, c_s: float = 1.0, c_m: float = 1.0
-) -> tuple[int, int]:
+def expander_sketch_params(k: int, eps: float, delta: float, c_m: float = 1.0) -> tuple[int, int]:
     """Degree and row count for the expander regime at target (eps, delta).
 
-    s = ceil(c_s * L / eps) and m = ceil(c_m * k * L / eps^2) rounded up to a
+    s = ceil(L / eps) and m = ceil(c_m * k * L / eps^2) rounded up to a
     multiple of s, where L = ln(k / (delta * eps)) clamped below at 1.  The
-    constants default to 1; the calibration experiment in the acceptance
+    constant c_m defaults to 1; the calibration experiment in the acceptance
     suite justifies that choice at desk scale.
     """
     if k < 1:
@@ -136,10 +134,10 @@ def expander_sketch_params(
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if c_s <= 0.0 or c_m <= 0.0:
-        raise ValueError("constants c_s and c_m must be positive")
+    if c_m <= 0.0:
+        raise ValueError("constant c_m must be positive")
     level = max(1.0, math.log(k / (delta * eps)))
-    s = math.ceil(c_s * level / eps)
+    s = math.ceil(level / eps)
     m_raw = math.ceil(c_m * k * level / (eps * eps))
     m = ((m_raw + s - 1) // s) * s
     return s, m

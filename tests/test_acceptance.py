@@ -20,10 +20,10 @@ from sketchbench.graphs import (
     max_matching_covers,
     verify_expansion,
 )
-from sketchbench.linalg import thin_qr
+from sketchbench.linalg import lstsq_factor, thin_qr
 from sketchbench.matrices import CsrMatrix, densify, gen_gaussian, gen_low_rank_plus_noise
 from sketchbench.metrics import distortion, distortion_via_basis
-from sketchbench.pipelines import lowrank_approx, sketch_and_solve_lsq
+from sketchbench.pipelines import best_rank_k_error, lowrank_approx, sketch_and_solve_lsq
 from sketchbench.rng import KwiseHash, Prng
 from sketchbench.sketch import gaussian_sketch_new, graph_sketch_new, sketch_apply
 
@@ -228,7 +228,7 @@ def test_c08_sketched_least_squares_quality():
         a = gen_gaussian(2000, 10, rng.split(0))
         b = a @ rng.split(1).normal(10) + 0.1 * rng.split(2).normal(2000)
         op = graph_sketch_new(2000, 400, 2, rng.split(3))
-        ratio = sketch_and_solve_lsq(a, b, op).ratio
+        ratio = sketch_and_solve_lsq(a, b, op, lstsq_factor(a)).ratio
         good += int(ratio <= 1.2)
         worst = max(worst, ratio)
     dt = time.perf_counter() - t0
@@ -242,14 +242,17 @@ def test_c08_sketched_least_squares_quality():
 def test_c09_lowrank_exact_and_noisy_quality():
     rng = Prng(28_000)
     a0 = gen_low_rank_plus_noise(200, 30, 5, 0.0, rng.split(0))
-    res = lowrank_approx(a0, 5, graph_sketch_new(200, 40, 2, rng.split(1)))
+    res = lowrank_approx(a0, 5, graph_sketch_new(200, 40, 2, rng.split(1)),
+                         best_rank_k_error(a0, 5))
     exact_ok = (not res.rank_deficient) and abs(res.ratio - 1.0) <= 1e-8
 
     a = gen_low_rank_plus_noise(1024, 100, 10, 0.01, rng.split(2))
+    opt = best_rank_k_error(a, 10)
     medians = []
     for mi, m in enumerate((20, 40, 80)):
         ratios = [
-            lowrank_approx(a, 10, graph_sketch_new(1024, m, 2, rng.split(1000 + mi * 100 + t))).ratio
+            lowrank_approx(a, 10, graph_sketch_new(1024, m, 2, rng.split(1000 + mi * 100 + t)),
+                           opt).ratio
             for t in range(10)
         ]
         medians.append(float(np.median(ratios)))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchbench import cli
+from sketchbench import cli, pipelines
 from sketchbench.cli import (
     CSV_HEADER,
     ConfigError,
@@ -181,28 +181,27 @@ def test_bad_row_mode(tmp_path):
 
 
 def test_load_dataset_gaussian_spec():
-    data = load_dataset("gen:gaussian:32x5", Prng(4))
-    assert data.matrix.shape == (32, 5)
-    assert (data.n, data.d) == (32, 5)
+    a = load_dataset("gen:gaussian:32x5", Prng(4))
+    assert a.shape == (32, 5) and a.dtype == np.float64
 
 
 def test_load_dataset_lowrank_spec():
-    data = load_dataset("gen:lowrank:40x12:3:0.0", Prng(4))
-    assert data.matrix.shape == (40, 12)
-    assert np.linalg.matrix_rank(data.matrix) == 3
+    a = load_dataset("gen:lowrank:40x12:3:0.0", Prng(4))
+    assert a.shape == (40, 12)
+    assert np.linalg.matrix_rank(a) == 3
 
 
 def test_load_dataset_same_seed_same_matrix():
-    a = load_dataset("gen:gaussian:16x4", Prng(9)).matrix
-    b = load_dataset("gen:gaussian:16x4", Prng(9)).matrix
+    a = load_dataset("gen:gaussian:16x4", Prng(9))
+    b = load_dataset("gen:gaussian:16x4", Prng(9))
     np.testing.assert_array_equal(a, b)
 
 
 def test_load_dataset_independent_of_master_position():
     master = Prng(9)
     master.normal(100)  # advance the parent stream
-    b = load_dataset("gen:gaussian:16x4", master).matrix
-    a = load_dataset("gen:gaussian:16x4", Prng(9)).matrix
+    b = load_dataset("gen:gaussian:16x4", master)
+    a = load_dataset("gen:gaussian:16x4", Prng(9))
     np.testing.assert_array_equal(a, b)
 
 
@@ -216,9 +215,9 @@ def test_load_dataset_matrix_market_path(tmp_path):
     path = tmp_path / "a.mtx"
     assert main(["gen", "--config", _gen_cfg(tmp_path, "gen:gaussian:6x3"),
                  "--seed", "2", "--out", str(path)]) == 0
-    data = load_dataset(str(path), Prng(0))
-    assert data.matrix.shape == (6, 3)
-    np.testing.assert_array_equal(data.matrix, read_matrix_market(str(path)))
+    a = load_dataset(str(path), Prng(0))
+    assert isinstance(a, np.ndarray) and a.shape == (6, 3)
+    np.testing.assert_array_equal(a, read_matrix_market(str(path)))
 
 
 def _gen_cfg(tmp_path, spec):
@@ -368,6 +367,15 @@ def test_rank_deficient_matrix_market_input_exits_4_before_the_output_opens(tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["distortion-sweep", "lsq-bench"])
+def test_wide_input_exits_4_before_the_output_opens(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    cfg = _write_sweep_cfg(tmp_path, input="gen:gaussian:8x12", m_values="4", trials="1")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "8x12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distortion_sweep_stdout(tmp_path, capsys):
     assert main(["distortion-sweep", "--config",
                  _write_sweep_cfg(tmp_path, m_values="12", trials="1", methods="graph:s=2")]) == 0
@@ -393,7 +401,34 @@ def test_lowrank_sweep_emits_skip_rows(tmp_path):
 
 def test_lowrank_sweep_k_out_of_range(tmp_path):
     cfg = _write_sweep_cfg(tmp_path, input="gen:gaussian:32x4", k="9")
-    assert main(["lowrank-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    out = tmp_path / "x.csv"
+    assert main(["lowrank-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_lowrank_sweep_refuses_a_basis_wider_than_the_input_rows(tmp_path, capsys):
+    # m_eff = 40 gives min(m, d) = 40 basis directions, but Y = SA has rank <= n = 30
+    cfg = _write_sweep_cfg(tmp_path, input="gen:lowrank:30x60:5:0.01", k="5",
+                           methods="graph:s=2", m_values="20,40,80")
+    out = tmp_path / "x.csv"
+    assert main(["lowrank-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "graph:s=2 at m=40" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lowrank_sweep_evaluates_the_input_spectrum_once(tmp_path, monkeypatch):
+    real, calls = pipelines.singular_values, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(pipelines, "singular_values", counted)
+    cfg = _write_sweep_cfg(tmp_path, input="gen:lowrank:96x16:4:0.01", k="4", m_values="8,16")
+    assert main(["lowrank-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                 "--threads", "2"]) == 0
+    assert len(_rows(tmp_path / "x.csv")) == 2 * 2 * 2
+    assert calls == [(96, 16)]
 
 
 def test_lsq_bench_ratios_near_one(tmp_path):

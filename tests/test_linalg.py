@@ -407,7 +407,7 @@ def test_lstsq_rank_deficient_raises():
 
 
 def test_lstsq_rejects_wide_and_bad_b():
-    with pytest.raises(ValueError):
+    with pytest.raises(RankDeficiencyError, match="n >= d"):
         lstsq_exact(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         lstsq_exact(np.eye(3), np.zeros(4))

@@ -181,7 +181,7 @@ def test_jlt_expander_parameters_meet_target():
     # the hidden constant in m = O(k L / eps^2) is calibrated to c_m = 3
     # (see scripts/calibrate_embedding_eps.py for the measurement setup);
     # with it the k=1 target delta = 0.1 holds with slack
-    s, m = expander_sketch_params(1, 0.5, 0.1, c_s=1.0, c_m=3.0)
+    s, m = expander_sketch_params(1, 0.5, 0.1, c_m=3.0)
     n = 64
     x = unit_vector(n, 134)
     rate = jlt_failure_rate(lambda r: graph_sketch_new(n, m, s, r), x, 0.5, 500, Prng(135))

@@ -172,8 +172,6 @@ def test_expander_params_validation():
         expander_sketch_params(10, 1.0, 0.1)
     with pytest.raises(ValueError):
         expander_sketch_params(10, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        expander_sketch_params(10, 0.5, 0.1, c_s=0.0)
 
 
 @given(
