@@ -13,10 +13,12 @@ checked exactly here, at sizes where exactness is affordable:
   explicit stack so that no path length reaches the recursion limit.
 
 ``estimate_magical_delta`` ties the two to the sketch constructions: it
-samples fresh degree-s sketches and uniform k-subsets of columns and reports
-how often matching coverage fails.  That failure frequency is the empirical
-stand-in for the per-subset failure probability the s=2 construction is
-supposed to keep at O(1/k) once m is a constant multiple of k.
+samples fresh block-mode degree-s sketches and uniform k-subsets of columns
+and reports how often matching coverage fails.  It builds only the rows of
+the k chosen columns, from all trials' row streams drawn together.  That
+failure frequency is the empirical stand-in for the per-subset failure
+probability the s=2 construction is supposed to keep at O(1/k) once m is a
+constant multiple of k.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rng import Prng
+from .rng import Prng, _draws_below
 
 EXPANSION_BUDGET = 10_000_000
 _PAIR_CHUNK = 1 << 20  # pair codes held at once by the size-2 count
@@ -199,22 +201,31 @@ def estimate_magical_delta(
 ) -> float:
     """Fraction of (fresh sketch graph, uniform k-subset) trials without coverage.
 
-    Each trial draws an independent degree-s sketch on its own split stream
-    plus a uniform k-subset of left vertices, then runs the matching check.
-    This estimates the failure probability delta of Definition-2 style
-    coverage; it samples subsets rather than quantifying over all of them.
+    Trial t is the block-mode degree-s sketch ``graph_sketch_new(n, m, s,
+    rng.split(t))`` and the subset ``rng.split(t).subset(n, k)``, but only
+    the subset's k columns are built: their rows come from all trials' row
+    streams drawn together (``_draws_below``), and the matching check runs on
+    the k-vertex graph they span.  No signs are drawn.  This estimates the
+    failure probability delta of Definition-2 style coverage; it samples
+    subsets rather than quantifying over all of them.
     """
+    from .sketch import _ROW_STREAM, _block_height, _block_rows
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    block = _block_height(n, m, s)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    from .sketch import graph_sketch_new, sketch_to_graph
-
-    failures = 0
+    seeds = np.empty(trials, dtype=np.uint64)
+    cols = np.empty((trials, k), dtype=np.int64)
     for t in range(trials):
         trial_rng = rng.split(t)
-        g = sketch_to_graph(graph_sketch_new(n, m, s, trial_rng))
-        subset = trial_rng.subset(n, k)
-        if not max_matching_covers(g, subset):
-            failures += 1
+        seeds[t] = trial_rng.split(_ROW_STREAM).seed
+        cols[t] = trial_rng.subset(n, k)
+    # column j's i-th row hash is draw i·n + j of its trial's row stream
+    picks = (np.arange(s)[:, None] * n + cols[:, None, :]).reshape(trials, s * k)
+    h, _ = _draws_below(seeds, 0, block, s * n, picks)
+    rows = _block_rows(h.reshape(trials, s, k).transpose(0, 2, 1), m)
+    failures = sum(not max_matching_covers(BipartiteGraph(k, m, s, adjacency=adj), range(k))
+                   for adj in rows)
     return failures / trials

@@ -14,13 +14,17 @@ Both inner maps are bijections on 64-bit integers, so distinct ids give
 distinct child seeds, and a child depends only on (parent seed, id), not on
 how much the parent has drawn.
 
+One kernel, ``_splitmix``, computes every output: a (stream x counter)
+block of any number of streams at one counter, one stream for ``raw``.
+
 Normal variates come from Box-Muller on consecutive uniform pairs (u1 shifted
 into (0,1] so the log is always finite); the pair (z0, z1) is emitted in
 order.  Bounded integers use bitmask rejection sampling, which is exact.
-``integers_below`` and ``subset`` take their draws from one block (a second
-only if the first falls short) and then set the counter just after the last
-draw they used, so values and stream position are those of drawing one
-value at a time.
+``_draws_below`` holds that rule for many streams at once, drawing them as
+one block per chunk of streams (a further block only when a stream of the
+chunk falls short); ``integers_below`` is its one-stream case.  It and
+``subset`` set the counter just after the last draw they used, so values
+and stream position are those of drawing one value at a time.
 
 ``KwiseHash`` evaluates its polynomial by Horner's rule, in ``__call__`` on
 Python integers for one key and in ``eval_many`` on uint64 arrays for many.
@@ -40,6 +44,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_DRAW_CHUNK = 1 << 15  # uint64 draws in one block of many streams (256 KB)
 
 #: Default field modulus for hash families: the Mersenne prime 2^61 - 1.
 MERSENNE61 = (1 << 61) - 1
@@ -70,18 +75,8 @@ class Prng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        start = self.counter + 1
+        z = _splitmix(np.array([self.seed], dtype=np.uint64), self.counter, n)[0]
         self.counter += n
-        # the counters become the states, then the outputs, in one array
-        z = np.arange(start, start + n, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z *= np.uint64(_GOLDEN)
-            z += np.uint64(self.seed)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(0xBF58476D1CE4E5B9)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(0x94D049BB133111EB)
-            z ^= z >> np.uint64(31)
         return z
 
     def normal(self, n: int) -> np.ndarray:
@@ -100,29 +95,16 @@ class Prng:
     def integers_below(self, bound: int, n: int) -> np.ndarray:
         """``n`` exact uniform integers in [0, bound) via bitmask rejection.
 
-        The draws come from one block sized to cover the expected rejections;
-        the counter then moves back to just after the n-th accepted draw, so
-        the values and the stream position do not depend on the block size.
+        The draws come from ``_draws_below`` on this one stream; the counter
+        then moves to just after the n-th accepted draw, so the values and
+        the stream position do not depend on the block size.
         """
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
-        if bound == 1:
-            return np.zeros(n, dtype=np.int64)
-        bits = (bound - 1).bit_length()
-        mask = np.uint64((1 << bits) - 1)
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            need = n - filled
-            expected = (need << bits) // bound + 1
-            start = self.counter
-            cand = (self.raw(expected + 3 * math.isqrt(expected) + 8) & mask).astype(np.int64)
-            good = np.flatnonzero(cand < bound)[:need]
-            out[filled:filled + len(good)] = cand[good]
-            filled += len(good)
-            if filled == n:
-                self.counter = start + int(good[-1]) + 1
-        return out
+        seeds = np.array([self.seed], dtype=np.uint64)
+        values, ends = _draws_below(seeds, self.counter, bound, n, np.arange(n)[None, :])
+        self.counter = int(ends[0])
+        return values[0]
 
     def signs(self, n: int) -> np.ndarray:
         """``n`` values in {-1.0, +1.0}, one raw draw per value (bit 0)."""
@@ -157,6 +139,83 @@ class Prng:
             swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
         self.counter = start + used
         return np.array([swapped[i] for i in range(k)], dtype=np.int64)
+
+
+def _splitmix(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Outputs start+1 .. start+count of each stream, one row per seed.
+
+    The SplitMix64 kernel of every draw: a (len(seeds), count) uint64 block
+    whose entry (r, c) is mix64(seeds[r] + (start + c + 1) * GOLDEN).
+    """
+    # uint64 array arithmetic wraps mod 2^64 without a warning
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    # the counters become the states, then the outputs; one stream (raw may
+    # draw millions) stays in place
+    if len(seeds) == 1:
+        z += seeds
+        z = z[None, :]
+    else:
+        z = z + seeds[:, None]
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _block_length(need: int, bits: int, bound: int) -> int:
+    """Draws to take for ``need`` values below ``bound`` by ``bits``-bit masks:
+    the expected count plus a margin, so one block nearly always suffices."""
+    expected = (need << bits) // bound + 1
+    return expected + 3 * math.isqrt(expected) + 8
+
+
+def _draws_below(
+    seeds: np.ndarray, start: int, bound: int, count: int, picks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmask-rejection draws below ``bound`` on many streams at one counter.
+
+    Stream r (seed ``seeds[r]``, counter ``start``) masks each raw draw to the
+    bit width of bound - 1 and accepts the values below ``bound``: its first
+    ``count`` accepted values are ``Prng.integers_below(bound, count)`` of
+    that stream.  Returns, per stream, the accepted values at the positions
+    ``picks[r]`` (each in [0, count)) and the counter just after the
+    count-th accepted draw; bound 1 draws nothing.
+
+    Streams are taken as many at a time as fit ``_DRAW_CHUNK`` draws, and
+    each chunk draws one (stream x counter) block.  While some stream of the
+    chunk has fewer than ``count`` accepted values, the whole chunk draws the
+    next block, sized for the largest shortfall; values never depend on the
+    block sizes.
+    """
+    values = np.zeros(np.shape(picks), dtype=np.int64)
+    ends = np.full(len(seeds), start, dtype=np.int64)
+    if bound == 1 or count == 0:
+        return values, ends
+    bits = (bound - 1).bit_length()
+    mask = np.uint64((1 << bits) - 1)
+    length = _block_length(count, bits, bound)
+    per_chunk = max(1, _DRAW_CHUNK // length)
+    for lo in range(0, len(seeds), per_chunk):
+        rows = slice(lo, lo + per_chunk)
+        cand = _splitmix(seeds[rows], start, length)
+        cand &= mask
+        while True:
+            hits = np.flatnonzero(cand < bound)  # row-major: stream, then counter
+            # each stream's first entry in hits, then the end of the last
+            first = np.searchsorted(hits, cand.shape[1] * np.arange(len(cand) + 1))
+            short = count - int((first[1:] - first[:-1]).min())
+            if short <= 0:
+                break
+            more = _splitmix(seeds[rows], start + cand.shape[1], _block_length(short, bits, bound))
+            more &= mask
+            cand = np.concatenate([cand, more], axis=1)
+        first = first[:-1]
+        values[rows] = cand.ravel()[hits[first[:, None] + picks[rows]]].view(np.int64)
+        ends[rows] = hits[first + (count - 1)] % cand.shape[1] + (start + 1)
+    return values, ends
 
 
 _P61 = np.uint64(MERSENNE61)

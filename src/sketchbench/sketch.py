@@ -15,9 +15,13 @@ Two operator families share one calling convention:
 Randomness for row placement and for signs comes from two child streams
 split off the generator passed in, so the generator's seed alone
 reconstructs any operator bit-exactly (splits do not depend on how far the
-parent stream has advanced); operators keep no copy of it.  With ``gamma``
-set, both streams seed gamma-wise independent polynomial hashes instead of
-being consumed per entry; this is only defined for the block row rule.
+parent stream has advanced); operators keep no copy of it.  Without
+``gamma``, h_i(j) is draw i·n + j below m/s of the row stream.  With
+``gamma`` set, both streams seed gamma-wise independent polynomial hashes
+instead of being consumed per entry; this is only defined for the block row
+rule.  The stream ids, the shape checks and the block rule (``_block_rows``)
+are declared here once; ``graphs.estimate_magical_delta`` builds its rows
+for only the columns it checks from the same three.
 """
 
 from __future__ import annotations
@@ -58,6 +62,27 @@ class GaussianSketch:
 SketchOperator = GraphSketch | GaussianSketch
 
 
+def _check_degree(n: int, m: int, s: int) -> None:
+    if n < 1 or m < 1:
+        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
+    if not 1 <= s <= m:
+        raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
+
+
+def _block_height(n: int, m: int, s: int) -> int:
+    """m / s, the rows of each block of the block rule, once n, m, s are checked."""
+    _check_degree(n, m, s)
+    if m % s != 0:
+        raise ValueError(f"m={m} is not divisible by s={s}; round m up first")
+    return m // s
+
+
+def _block_rows(h: np.ndarray, m: int) -> np.ndarray:
+    """The block rule: h[..., i] in [0, m/s) becomes row i·(m/s) + h[..., i]."""
+    s = h.shape[-1]
+    return h + np.arange(s) * (m // s)
+
+
 def graph_sketch_new(
     n: int,
     m: int,
@@ -74,40 +99,32 @@ def graph_sketch_new(
     gamma >= 4 to track the fully random distortion profile, since gamma = 2
     places consecutive columns on a lattice and lowers the median distortion.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    if not 1 <= s <= m:
-        raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
+    _check_degree(n, m, s)
     if row_mode not in ("block", "subset"):
         raise ValueError(f"unknown row_mode {row_mode!r}")
     if gamma is not None and gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     rows_rng = rng.split(_ROW_STREAM)
     signs_rng = rng.split(_SIGN_STREAM)
-    rows = np.empty((n, s), dtype=np.int64)
-    signs = np.empty((n, s))
     if row_mode == "block":
-        if m % s != 0:
-            raise ValueError(f"m={m} is not divisible by s={s}; round m up first")
-        block = m // s
-        cols = np.arange(n)
+        block = _block_height(n, m, s)
         if gamma is None:
-            for i in range(s):
-                rows[:, i] = i * block + rows_rng.integers_below(block, n)
-            signs[:, :] = signs_rng.signs(n * s).reshape(n, s)
+            h = rows_rng.integers_below(block, s * n).reshape(s, n).T
+            signs = signs_rng.signs(n * s).reshape(n, s)
         else:
-            for i in range(s):
-                h = KwiseHash.sample(gamma, block, rows_rng)
-                rows[:, i] = i * block + h.eval_many(cols)
-            for i in range(s):
-                g = KwiseHash.sample(gamma, 2, signs_rng)
-                signs[:, i] = 1.0 - 2.0 * g.eval_many(cols)
+            cols = np.arange(n)
+            h = np.stack([KwiseHash.sample(gamma, block, rows_rng).eval_many(cols)
+                          for _ in range(s)], axis=1)
+            signs = 1.0 - 2.0 * np.stack([KwiseHash.sample(gamma, 2, signs_rng).eval_many(cols)
+                                          for _ in range(s)], axis=1)
+        rows = _block_rows(h, m)
     else:
         if gamma is not None:
             raise ValueError("gamma-wise hashing is only defined for row_mode='block'")
+        rows = np.empty((n, s), dtype=np.int64)
         for j in range(n):
             rows[j, :] = rows_rng.subset(m, s)
-        signs[:, :] = signs_rng.signs(n * s).reshape(n, s)
+        signs = signs_rng.signs(n * s).reshape(n, s)
     return GraphSketch(n=n, m=m, s=s, rows_per_column=rows, signs_per_column=signs)
 
 

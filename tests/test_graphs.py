@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import neighborhood
 
+from sketchbench import rng as rng_module
 from sketchbench.cli import _trial_stream
 from sketchbench.graphs import (
     BipartiteGraph,
@@ -289,10 +291,55 @@ def test_delta_deterministic():
 
 
 def test_delta_validates():
-    with pytest.raises(ValueError):
-        estimate_magical_delta(10, 8, 2, 11, trials=5, rng=Prng(100))
-    with pytest.raises(ValueError):
-        estimate_magical_delta(10, 8, 2, 5, trials=0, rng=Prng(100))
+    for n, m, s, k, trials, message in [
+        (10, 8, 2, 11, 5, "need 1 <= k <= n"),
+        (10, 8, 2, 5, 0, "trials must be >= 1"),
+        (0, 8, 2, 1, 5, "need n, m >= 1"),
+        (10, 0, 1, 5, 5, "need n, m >= 1"),
+        (10, 8, 0, 5, 5, "need 1 <= s <= m"),
+        (10, 8, 9, 5, 5, "need 1 <= s <= m"),
+        (10, 9, 2, 5, 5, "m=9 is not divisible by s=2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            estimate_magical_delta(n, m, s, k, trials=trials, rng=Prng(100))
+
+
+def _magical_delta_reference(n, m, s, k, trials, rng):
+    """The per-trial loop that ``estimate_magical_delta`` replaced: a whole
+    sketch per trial, then its subset's matching check."""
+    failures = 0
+    for t in range(trials):
+        trial_rng = rng.split(t)
+        g = sketch_to_graph(graph_sketch_new(n, m, s, trial_rng))
+        if not max_matching_covers(g, trial_rng.subset(n, k)):
+            failures += 1
+    return failures / trials
+
+
+def test_delta_matches_per_trial_sketch_reference(monkeypatch):
+    default_chunk = rng_module._DRAW_CHUNK
+    pick = random.Random(103)
+    failing = 0
+    for case in range(400):
+        s = pick.randint(1, 4)
+        block = pick.choice([1, 2, 4, 8, 16, pick.randint(3, 13)])
+        m = s * block
+        # k near where coverage starts to fail: the birthday range for s = 1,
+        # within about m / s^2 of m otherwise
+        if s == 1:
+            k = pick.randint(2, 2 + 2 * math.isqrt(m))
+        else:
+            k = pick.randint(max(1, m - m // (s * s) - 1), m + 1)
+        n = pick.randint(k, k + 60)
+        trials = pick.randint(1, 40)
+        # a small chunk puts chunk boundaries among the trials
+        chunk = pick.choice([default_chunk, pick.randint(1, 8 * s * n)])
+        monkeypatch.setattr(rng_module, "_DRAW_CHUNK", chunk)
+        got = estimate_magical_delta(n, m, s, k, trials, Prng(case))
+        want = _magical_delta_reference(n, m, s, k, trials, Prng(case))
+        assert got == want, (n, m, s, k, trials, chunk)
+        failing += got > 0
+    assert failing >= 280
 
 
 def test_delta_nonincreasing_in_m():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchbench.rng import MERSENNE61, KwiseHash, Prng, mix64
+from sketchbench import rng as rng_module
+from sketchbench.rng import MERSENNE61, KwiseHash, Prng, _draws_below, mix64
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -191,6 +192,57 @@ def test_subset_matches_fisher_yates_reference(n):
             lambda r: _subset_reference(r, n, k),
             17 * n + k,
         )
+
+
+def _assert_streams_match_integers_below(seeds, bound, count, picks=None):
+    """Stream r of ``_draws_below`` is ``Prng(seeds[r]).integers_below(bound,
+    count)`` and the round loop reference read at ``picks[r]`` (all of it by
+    default), and it ends on the reference's counter."""
+    if picks is None:
+        picks = np.broadcast_to(np.arange(count), (len(seeds), count))
+    values, ends = _draws_below(np.array(seeds, dtype=np.uint64), 0, bound, count, picks)
+    assert values.dtype == np.int64 and values.shape == np.shape(picks)
+    for r, seed in enumerate(seeds):
+        ref = Prng(seed)
+        want = _integers_below_reference(ref, bound, count)
+        np.testing.assert_array_equal(values[r], want[picks[r]])
+        np.testing.assert_array_equal(Prng(seed).integers_below(bound, count), want)
+        assert ends[r] == ref.counter
+
+
+@pytest.mark.parametrize("bound", [1, 2, 20, 55, 64, MERSENNE61])
+def test_draws_below_is_integers_below_per_stream(bound):
+    seeds = [Prng(bound).split(r).seed for r in range(150)]
+    for count in (0, 1, 7, 300):
+        # 150 streams of 300 draws span several default chunks (59 streams at bound 20)
+        _assert_streams_match_integers_below(seeds, bound, count)
+
+
+@pytest.mark.parametrize("chunk", [1, 300, 1000])
+def test_draws_below_across_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(rng_module, "_DRAW_CHUNK", chunk)
+    seeds = [Prng(77).split(r).seed for r in range(13)]
+    for bound in (2, 20, 55):
+        picks = np.stack([Prng(seed).subset(120, 9) for seed in seeds])
+        _assert_streams_match_integers_below(seeds, bound, 120)
+        _assert_streams_match_integers_below(seeds, bound, 120, picks)
+
+
+def test_draws_below_short_first_block_draws_more(monkeypatch):
+    """Blocks far too short for their need are extended until every stream
+    has its draws, with the values and counters of the reference."""
+    needs = []
+
+    def short(need, bits, bound):
+        needs.append(need)
+        return max(1, need // 3)
+
+    monkeypatch.setattr(rng_module, "_block_length", short)
+    seeds = [Prng(78).split(r).seed for r in range(9)]
+    for bound in (20, 55, MERSENNE61):
+        needs.clear()
+        _assert_streams_match_integers_below(seeds, bound, 200)
+        assert any(need < 200 for need in needs)  # a further block was drawn
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))
