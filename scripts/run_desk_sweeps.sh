@@ -1,7 +1,7 @@
 #!/bin/sh
 # Desk-scale versions of the two headline sweeps, written into out/.
-# Single-threaded on a 2-vCPU Xeon they took 16 s, 5 s and 1 s, in the order
-# below; pass a thread count as $1.
+# Single-threaded on a 2-vCPU Xeon they took 12-15 s, 5-6 s and under 1 s, in
+# the order below; pass a thread count as $1.
 set -e
 threads="${1:-1}"
 mkdir -p out

@@ -14,9 +14,10 @@ checked exactly here, at sizes where exactness is affordable:
 
 ``estimate_magical_delta`` ties the two to the sketch constructions: it
 samples fresh block-mode degree-s sketches and uniform k-subsets of columns
-and reports how often matching coverage fails.  It builds only the rows of
-the k chosen columns, from all trials' row streams drawn together.  That
-failure frequency is the empirical stand-in for the per-subset failure
+and reports how often matching coverage fails.  It splits all trials'
+streams as arrays, draws all their subsets in one call, and builds only the
+rows of the k chosen columns, from all trials' row streams drawn together.
+That failure frequency is the empirical stand-in for the per-subset failure
 probability the s=2 construction is supposed to keep at O(1/k) once m is a
 constant multiple of k.
 """
@@ -29,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rng import Prng, _draws_below
+from .rng import Prng, _draws_below, _split_seeds, _subsets
 
 EXPANSION_BUDGET = 10_000_000
 _PAIR_CHUNK = 1 << 20  # pair codes held at once by the size-2 count
@@ -202,12 +203,13 @@ def estimate_magical_delta(
     """Fraction of (fresh sketch graph, uniform k-subset) trials without coverage.
 
     Trial t is the block-mode degree-s sketch ``graph_sketch_new(n, m, s,
-    rng.split(t))`` and the subset ``rng.split(t).subset(n, k)``, but only
-    the subset's k columns are built: their rows come from all trials' row
-    streams drawn together (``_draws_below``), and the matching check runs on
-    the k-vertex graph they span.  No signs are drawn.  This estimates the
-    failure probability delta of Definition-2 style coverage; it samples
-    subsets rather than quantifying over all of them.
+    rng.split(t))`` and the subset ``rng.split(t).subset(n, k)``, but all
+    trials are drawn together: their seeds by ``_split_seeds``, their subsets
+    by one ``_subsets`` call, and the rows of only each subset's k columns
+    from all trials' row streams (``_draws_below``).  The matching check runs
+    on the k-vertex graph those columns span.  No signs are drawn.  This
+    estimates the failure probability delta of Definition-2 style coverage;
+    it samples subsets rather than quantifying over all of them.
     """
     from .sketch import _ROW_STREAM, _block_height, _block_rows
 
@@ -216,12 +218,9 @@ def estimate_magical_delta(
     block = _block_height(n, m, s)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    seeds = np.empty(trials, dtype=np.uint64)
-    cols = np.empty((trials, k), dtype=np.int64)
-    for t in range(trials):
-        trial_rng = rng.split(t)
-        seeds[t] = trial_rng.split(_ROW_STREAM).seed
-        cols[t] = trial_rng.subset(n, k)
+    trial_seeds = _split_seeds(rng.seed, np.arange(trials))
+    seeds = _split_seeds(trial_seeds, _ROW_STREAM)
+    cols = _subsets(trial_seeds, 0, n, k, 1)[0][:, 0]
     # column j's i-th row hash is draw i·n + j of its trial's row stream
     picks = (np.arange(s)[:, None] * n + cols[:, None, :]).reshape(trials, s * k)
     h, _ = _draws_below(seeds, 0, block, s * n, picks)

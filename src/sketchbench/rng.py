@@ -15,16 +15,26 @@ distinct child seeds, and a child depends only on (parent seed, id), not on
 how much the parent has drawn.
 
 One kernel, ``_splitmix``, computes every output: a (stream x counter)
-block of any number of streams at one counter, one stream for ``raw``.
+block of any number of streams at one counter, one stream for ``raw``.  It
+and ``_split_seeds``, which splits many streams at once, share one array
+finalizer, ``_mix64_many``.
 
-Normal variates come from Box-Muller on consecutive uniform pairs (u1 shifted
-into (0,1] so the log is always finite); the pair (z0, z1) is emitted in
-order.  Bounded integers use bitmask rejection sampling, which is exact.
+Normal variates come from Box-Muller: ``normal(n)`` makes pairs = ceil(n/2)
+pairs, pair p taking u1 from draw p and u2 from draw pairs + p (u1 shifted
+into (0,1] so the log is always finite), and emits each pair (z0, z1) in
+order.  It computes them in blocks of ``_DRAW_CHUNK`` pairs written straight
+into the output, so it holds no more than the output and one block.
+
+Bounded integers use bitmask rejection sampling, which is exact.
 ``_draws_below`` holds that rule for many streams at once, drawing them as
 one block per chunk of streams (a further block only when a stream of the
-chunk falls short); ``integers_below`` is its one-stream case.  It and
-``subset`` set the counter just after the last draw they used, so values
-and stream position are those of drawing one value at a time.
+chunk falls short); ``integers_below`` is its one-stream case.  ``_subsets``
+runs partial Fisher-Yates with that rule, ``count`` subsets in a row on many
+streams at once: it draws one block per chunk of streams and walks it as
+Python ints, a stream drawing a further block only when it runs short;
+``subset`` is its one-stream, one-subset case.  All of them set the counter
+just after the last draw they used, so values and stream position are those
+of drawing one value at a time.
 
 ``KwiseHash`` evaluates its polynomial by Horner's rule, in ``__call__`` on
 Python integers for one key and in ``eval_many`` on uint64 arrays for many.
@@ -44,7 +54,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_DRAW_CHUNK = 1 << 15  # uint64 draws in one block of many streams (256 KB)
+_DRAW_CHUNK = 1 << 15  # uint64 draws in one block (256 KB), of one stream or many
 
 #: Default field modulus for hash families: the Mersenne prime 2^61 - 1.
 MERSENNE61 = (1 << 61) - 1
@@ -80,16 +90,26 @@ class Prng:
         return z
 
     def normal(self, n: int) -> np.ndarray:
-        """``n`` standard normal variates via Box-Muller."""
+        """``n`` standard normal variates via Box-Muller, in blocks of pairs.
+
+        With c the counter, pair p takes u1 from draw c + p and u2 from draw
+        c + pairs + p; each block of at most ``_DRAW_CHUNK`` pairs is drawn
+        and written into the output before the next.
+        """
         pairs = (n + 1) // 2
-        u = self.raw(2 * pairs)
-        u1 = ((u[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (u[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        seed = np.array([self.seed], dtype=np.uint64)
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        for lo in range(0, pairs, _DRAW_CHUNK):
+            hi = min(lo + _DRAW_CHUNK, pairs)
+            u1 = _splitmix(seed, self.counter + lo, hi - lo)[0]
+            u2 = _splitmix(seed, self.counter + pairs + lo, hi - lo)[0]
+            u1 = ((u1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+            u2 = (u2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            out[2 * lo:2 * hi:2] = r * np.cos(theta)
+            out[2 * lo + 1:2 * hi:2] = r * np.sin(theta)
+        self.counter += 2 * pairs
         return out[:n]
 
     def integers_below(self, bound: int, n: int) -> np.ndarray:
@@ -113,32 +133,23 @@ class Prng:
     def subset(self, n: int, k: int) -> np.ndarray:
         """Uniform k-subset of range(n) without replacement (partial Fisher-Yates).
 
-        Step i draws one integer below n - i by bitmask rejection, walking
-        one raw block as Python ints; the counter ends just after the last
-        draw used.
+        The one-stream, one-subset case of ``_subsets``; the counter ends
+        just after the last draw used.
         """
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        start = self.counter
-        block: list[int] = []
-        used = 0
-        swapped: dict[int, int] = {}
-        for i in range(k):
-            bound = n - i
-            j = i
-            if bound > 1:
-                mask = (1 << (bound - 1).bit_length()) - 1
-                cand = bound
-                while cand >= bound:
-                    if used == len(block):
-                        self.counter = start + used
-                        block += self.raw(2 * (k - i) + 8).tolist()
-                    cand = block[used] & mask
-                    used += 1
-                j += cand
-            swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
-        self.counter = start + used
-        return np.array([swapped[i] for i in range(k)], dtype=np.int64)
+        values, ends = _subsets(np.array([self.seed], dtype=np.uint64), self.counter, n, k, 1)
+        self.counter = int(ends[0])
+        return values[0, 0]
+
+
+def _mix64_many(z: np.ndarray) -> np.ndarray:
+    """``mix64`` on a uint64 array, in place; returns the array."""
+    # uint64 array arithmetic wraps mod 2^64 without a warning
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _splitmix(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -147,7 +158,6 @@ def _splitmix(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     The SplitMix64 kernel of every draw: a (len(seeds), count) uint64 block
     whose entry (r, c) is mix64(seeds[r] + (start + c + 1) * GOLDEN).
     """
-    # uint64 array arithmetic wraps mod 2^64 without a warning
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     # the counters become the states, then the outputs; one stream (raw may
@@ -157,12 +167,16 @@ def _splitmix(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
         z = z[None, :]
     else:
         z = z + seeds[:, None]
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix64_many(z)
+
+
+def _split_seeds(parents, ids) -> np.ndarray:
+    """``Prng(p).split(i).seed`` for each pair of broadcast parent seeds and ids.
+
+    The formula of ``Prng.split`` on uint64 arrays; ids must lie in [0, 2^64).
+    """
+    z = _mix64_many(np.array(ids, dtype=np.uint64, ndmin=1) + np.uint64(_GOLDEN))
+    return _mix64_many(z ^ np.array(parents, dtype=np.uint64, ndmin=1))
 
 
 def _block_length(need: int, bits: int, bound: int) -> int:
@@ -216,6 +230,66 @@ def _draws_below(
         values[rows] = cand.ravel()[hits[first[:, None] + picks[rows]]].view(np.int64)
         ends[rows] = hits[first + (count - 1)] % cand.shape[1] + (start + 1)
     return values, ends
+
+
+def _subsets(
+    seeds: np.ndarray, start: int, n: int, k: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` consecutive ``subset(n, k)`` draws on many streams at one counter.
+
+    Each subset is a partial Fisher-Yates shuffle: step i swaps position i
+    with i + j, j drawn below n - i by bitmask rejection (no draw once
+    n - i is 1).  Returns a (len(seeds), count, k) int64 array, stream r's
+    subsets in order, and each stream's counter just after its last draw.
+
+    Streams are taken as many at a time as fit ``_DRAW_CHUNK`` draws, and
+    each chunk draws one (stream x counter) block, sized for the expected
+    need plus a margin, which the shuffle walks as Python ints.  A stream
+    that uses up its row draws its own next block, at most ``_DRAW_CHUNK``
+    long; values never depend on the block sizes.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    out = np.empty((len(seeds), count, k), dtype=np.int64)
+    ends = np.full(len(seeds), start, dtype=np.int64)
+    steps = [(i, n - i, (1 << (n - i - 1).bit_length()) - 1) for i in range(k) if n - i > 1]
+    if not steps or count == 0:
+        out[...] = np.arange(k)
+        return out, ends
+    per_subset = sum((mask + 1) / bound for _, bound, mask in steps)  # expected draws
+
+    def length(subsets: int) -> int:
+        expected = math.ceil(per_subset * subsets)
+        return min(expected + 3 * math.isqrt(expected) + 8, _DRAW_CHUNK)
+
+    first = length(count)
+    per_chunk = max(1, _DRAW_CHUNK // first)
+    positions = range(k)
+    for lo in range(0, len(seeds), per_chunk):
+        block = _splitmix(seeds[lo:lo + per_chunk], start, first).tolist()
+        flat: list[int] = []
+        for r, row in enumerate(block, lo):
+            base, pos = start, 0  # row[0] is the draw after counter base
+            for c in range(count):
+                swapped: dict[int, int] = {}
+                for i, bound, mask in steps:
+                    while True:
+                        try:
+                            cand = row[pos] & mask
+                        except IndexError:
+                            base += len(row)
+                            row = _splitmix(seeds[r:r + 1], base, length(count - c))[0].tolist()
+                            pos = 0
+                            continue
+                        pos += 1
+                        if cand < bound:
+                            break
+                    j = i + cand
+                    swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+                flat += map(swapped.get, positions, positions)
+            ends[r] = base + pos
+        out[lo:lo + len(block)] = np.array(flat, dtype=np.int64).reshape(-1, count, k)
+    return out, ends
 
 
 _P61 = np.uint64(MERSENNE61)

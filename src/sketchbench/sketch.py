@@ -8,7 +8,9 @@ Two operator families share one calling convention:
   [0, m/s), which guarantees distinctness because the s blocks are disjoint.
   s=1 is CountSketch, s=2 the sparse pairing used throughout the matching
   experiments, larger s the expander-style regime.  An alternative
-  ``row_mode="subset"`` draws a uniform s-subset of all m rows instead.
+  ``row_mode="subset"`` draws a uniform s-subset of all m rows instead:
+  column j's rows are the j-th of n consecutive ``subset(m, s)`` draws of
+  the row stream, all made by one ``_subsets`` call.
 * ``GaussianSketch`` — dense i.i.d. N(0, 1/m) entries; the 1/√m scale is
   folded into generation so that E‖Sx‖² = ‖x‖² holds for every family here.
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .graphs import BipartiteGraph
 from .matrices import CsrMatrix, densify
-from .rng import KwiseHash, Prng
+from .rng import KwiseHash, Prng, _subsets
 
 _ROW_STREAM = 1
 _SIGN_STREAM = 2
@@ -121,9 +123,7 @@ def graph_sketch_new(
     else:
         if gamma is not None:
             raise ValueError("gamma-wise hashing is only defined for row_mode='block'")
-        rows = np.empty((n, s), dtype=np.int64)
-        for j in range(n):
-            rows[j, :] = rows_rng.subset(m, s)
+        rows = _subsets(np.array([rows_rng.seed], dtype=np.uint64), 0, m, s, n)[0][0]
         signs = signs_rng.signs(n * s).reshape(n, s)
     return GraphSketch(n=n, m=m, s=s, rows_per_column=rows, signs_per_column=signs)
 

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchbench import rng as rng_module
-from sketchbench.rng import MERSENNE61, KwiseHash, Prng, _draws_below, mix64
+from sketchbench.rng import (
+    MERSENNE61,
+    KwiseHash,
+    Prng,
+    _draws_below,
+    _split_seeds,
+    _subsets,
+    mix64,
+)
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -243,6 +251,117 @@ def test_draws_below_short_first_block_draws_more(monkeypatch):
         needs.clear()
         _assert_streams_match_integers_below(seeds, bound, 200)
         assert any(need < 200 for need in needs)  # a further block was drawn
+
+
+def _assert_subsets_match_loop(seeds, start, n, k, count):
+    """Stream r of ``_subsets`` is ``count`` calls of ``Prng.subset`` and of the
+    one-draw-a-step reference, from counter ``start``, ending on their counter."""
+    values, ends = _subsets(np.array(seeds, dtype=np.uint64), start, n, k, count)
+    assert values.dtype == np.int64 and values.shape == (len(seeds), count, k)
+    assert ends.shape == (len(seeds),)
+    for r, seed in enumerate(seeds):
+        one, ref = Prng(seed), Prng(seed)
+        one.counter = ref.counter = start
+        for c in range(count):
+            want = _subset_reference(ref, n, k)
+            np.testing.assert_array_equal(values[r, c], want)
+            np.testing.assert_array_equal(one.subset(n, k), want)
+        assert ends[r] == ref.counter == one.counter
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 1000])
+def test_subsets_match_a_loop_of_subset_calls(n):
+    seeds = [Prng(n).split(r).seed for r in range(40)]
+    for k in sorted({0, 1, n - 1, n}):
+        for count in (0, 1, 5):
+            _assert_subsets_match_loop(seeds, 3 * k, n, k, count)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 300])
+def test_subsets_across_chunk_boundaries_and_top_ups(monkeypatch, chunk):
+    """A small ``_DRAW_CHUNK`` splits the streams into many chunks and cuts
+    every first block short, so streams draw their further blocks."""
+    monkeypatch.setattr(rng_module, "_DRAW_CHUNK", chunk)
+    calls = []
+    splitmix = rng_module._splitmix
+
+    def recorded(seeds, start, count):
+        calls.append((len(seeds), start))
+        return splitmix(seeds, start, count)
+
+    monkeypatch.setattr(rng_module, "_splitmix", recorded)
+    seeds = [Prng(79).split(r).seed for r in range(13)]
+    for n, k, count in ((2, 1, 40), (65, 64, 3), (1000, 10, 6), (20, 20, 4)):
+        calls.clear()
+        _subsets(np.array(seeds, dtype=np.uint64), 5, n, k, count)
+        assert sum(start == 5 for _, start in calls) > 1  # first blocks of several chunks
+        if chunk < count * min(k, n - 1):  # fewer draws than a stream's least need
+            assert any(start > 5 for _, start in calls)  # a top-up ran
+        _assert_subsets_match_loop(seeds, 5, n, k, count)
+
+
+def test_subsets_rejects_bad_k():
+    seeds = np.array([1, 2], dtype=np.uint64)
+    for n, k in ((5, 6), (5, -1), (0, 1)):
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            _subsets(seeds, 0, n, k, 3)
+
+
+def test_split_seeds_is_split():
+    pick = Prng(80)
+    parents = [0, 1, MASK64, *(int(x) for x in pick.raw(30))]
+    ids = [0, 1, 2, MASK64, MASK64 - 1, GOLDEN, *(int(x) for x in pick.raw(30))]
+    got = _split_seeds(np.array(parents, dtype=np.uint64)[:, None], np.array(ids, dtype=np.uint64))
+    want = [[Prng(p).split(i).seed for i in ids] for p in parents]
+    assert got.dtype == np.uint64
+    assert got.tolist() == want
+    # a scalar parent or id broadcasts like the arrays
+    assert _split_seeds(parents[3], ids).tolist() == want[3]
+    assert _split_seeds(parents, ids[4]).tolist() == [row[4] for row in want]
+
+
+def _normal_reference(rng, n):
+    """The unblocked Box-Muller that ``normal`` replaced: all 2 * pairs raw
+    draws at once, u1 from the first half and u2 from the second."""
+    pairs = (n + 1) // 2
+    u = rng.raw(2 * pairs)
+    u1 = ((u[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (u[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+def test_normal_matches_unblocked_reference():
+    pairs = rng_module._DRAW_CHUNK  # pairs in one block
+    lengths = [0, 1, 2, 3, 101]
+    lengths += [2 * (pairs + d) + odd for d in (-1, 0, 1) for odd in (-1, 0, 1)]
+    for n in lengths:
+        _assert_same_draws(lambda r: r.normal(n), lambda r: _normal_reference(r, n), n)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_normal_matches_unblocked_reference_many_blocks(monkeypatch, chunk):
+    monkeypatch.setattr(rng_module, "_DRAW_CHUNK", chunk)
+    for n in (0, 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 2 * chunk + 2, 37, 1000):
+        _assert_same_draws(lambda r: r.normal(n), lambda r: _normal_reference(r, n), n + chunk)
+
+
+def test_normal_holds_only_its_output():
+    import tracemalloc
+
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        z = Prng(81).normal(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(z) == n
+    assert peak < 8 * n + 4 * 2**20  # the 16 MB output plus 4 MB
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))

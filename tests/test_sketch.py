@@ -10,6 +10,7 @@ from oracles import check_graph_sketch, sketch_densify
 from sketchbench.matrices import CsrMatrix, gen_gaussian
 from sketchbench.rng import Prng
 from sketchbench.sketch import (
+    _ROW_STREAM,
     GaussianSketch,
     GraphSketch,
     expander_sketch_params,
@@ -76,6 +77,22 @@ def test_subset_row_mode_no_block_structure_required():
     # subset mode can place several of a column's rows in one block; just
     # require distinctness, which check_graph_sketch already enforced
     assert sk.rows_per_column.shape == (30, 3)
+
+
+def _subset_rows_reference(n, m, s, rng):
+    """The per-column loop that subset mode replaced: one ``subset`` call per
+    column, all on the row stream."""
+    rows_rng = rng.split(_ROW_STREAM)
+    return np.stack([rows_rng.subset(m, s) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n, m, s", [(1, 1, 1), (30, 10, 3), (50, 7, 7), (200, 65, 64),
+                                     (1600, 400, 4)])
+def test_subset_row_mode_matches_per_column_loop(n, m, s):
+    for seed in range(3):
+        sk = graph_sketch_new(n, m, s, Prng(seed), row_mode="subset")
+        np.testing.assert_array_equal(sk.rows_per_column,
+                                      _subset_rows_reference(n, m, s, Prng(seed)))
 
 
 def test_gamma_mode_structure_and_determinism():
