@@ -38,7 +38,8 @@ Method specs are colon-separated: ``graph:s=2``, ``graph:s=4:gamma=8``,
 up to the nearest multiple of s; both the requested and the effective m
 appear in the output.
 
-Input specs are MatrixMarket paths or generators:
+Input specs are MatrixMarket paths (coordinate or array, both loaded dense)
+or generators:
 ``gen:gaussian:<n>x<d>`` and ``gen:lowrank:<n>x<d>:<k>:<sigma>``.
 
 Exit codes: 0 success, 1 internal error (any other exception, reported as
@@ -60,19 +61,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import BudgetExceededError, estimate_magical_delta, verify_expansion
-from .linalg import RANK_TOL, ConvergenceError, RankDeficiencyError, lstsq_factor, thin_qr
-from .matrices import (
-    densify,
-    gen_gaussian,
-    gen_low_rank_plus_noise,
-    read_matrix_market,
-    write_matrix_market,
-)
+from .graphs import BipartiteGraph, BudgetExceededError, estimate_magical_delta, verify_expansion
+# thin_qr stays bound here: perfbench/test_perfbench.py patches and restores cli.thin_qr
+from .linalg import ConvergenceError, RankDeficiencyError, lstsq_factor, thin_qr  # noqa: F401
+from .matrices import gen_gaussian, gen_low_rank_plus_noise, read_matrix_market, write_matrix_market
 from .metrics import distortion_via_basis
 from .pipelines import best_rank_k_error, lowrank_approx, sketch_and_solve_lsq
 from .rng import Prng
-from .sketch import gaussian_sketch_new, graph_sketch_new, sketch_to_graph
+from .sketch import gaussian_sketch_new, graph_sketch_new
 
 CSV_HEADER = (
     "command,dataset,method,n,d,s,gamma,m_requested,m_effective,"
@@ -330,7 +326,7 @@ def _trial_stream(master: Prng, command: str, method: str, m: int, trial: int) -
 def load_dataset(spec: str, master: Prng) -> np.ndarray:
     """The input matrix of ``spec`` (a MatrixMarket path or a generator), dense float64."""
     if not spec.startswith("gen:"):
-        return densify(read_matrix_market(spec))
+        return read_matrix_market(spec)
     parts = spec.split(":")
     stream = master.split(_mix_stream_id("dataset", spec))
     try:
@@ -399,12 +395,8 @@ def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
 def run_distortion_sweep(cfg: ExperimentConfig):
     a = load_dataset(cfg.input, Prng(cfg.seed))
     n, d = a.shape
-    if n < d:
-        raise RankDeficiencyError(f"input is {n}x{d} (wide): cannot have full column rank")
-    basis, r = thin_qr(a)
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
-        raise RankDeficiencyError("input matrix is rank deficient; distortion is undefined")
+    # the orthonormal basis of A's range; refuses a wide or rank-deficient A
+    basis = lstsq_factor(a).q
 
     def unit(method, m, m_eff, trial, stream):
         op = method.build(n, m_eff, stream, cfg.row_mode)
@@ -463,7 +455,8 @@ def run_verify_graph(cfg: ExperimentConfig):
     witnesses: dict[tuple[int, int], str] = {}
 
     def unit(method, m, m_eff, trial, stream):
-        g = sketch_to_graph(method.build(cfg.n, m_eff, stream, cfg.row_mode))
+        op = method.build(cfg.n, m_eff, stream, cfg.row_mode)
+        g = BipartiteGraph(op.n, op.m, op.s, adjacency=op.rows_per_column)
         res = verify_expansion(g, cfg.k, cfg.eps)
         if res.witness is not None:
             witnesses[m, trial] = f"m={m} trial={trial} witness={list(res.witness)}"

@@ -31,6 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .rng import Prng, _draws_below, _split_seeds, _subsets
+from .sketch import _ROW_STREAM, _block_height, _block_rows
 
 EXPANSION_BUDGET = 10_000_000
 _PAIR_CHUNK = 1 << 20  # pair codes held at once by the size-2 count
@@ -211,8 +212,6 @@ def estimate_magical_delta(
     estimates the failure probability delta of Definition-2 style coverage;
     it samples subsets rather than quantifying over all of them.
     """
-    from .sketch import _ROW_STREAM, _block_height, _block_rows
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     block = _block_height(n, m, s)

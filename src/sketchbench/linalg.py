@@ -312,16 +312,18 @@ def lstsq_factor(a) -> LstsqFactor:
 
     Raises ``RankDeficiencyError`` unless n >= d and A has numerically full
     column rank (R diagonal bounded away from zero relative to its largest).
+    Its ``q`` is then an orthonormal basis of A's range, the Q of ``thin_qr``.
     """
     a = _as_matrix(a)
     n, d = a.shape
     if n < d:
-        raise RankDeficiencyError(f"least squares needs n >= d, got {n}x{d}")
+        raise RankDeficiencyError(f"full column rank needs n >= d, got {n}x{d}")
     q, r, e = _householder_qr(a, form_q=True)
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
         raise RankDeficiencyError(
-            f"R diagonal range [{diag.min():.3e}, {diag.max():.3e}] indicates rank deficiency"
+            f"{n}x{d} input: R diagonal range [{diag.min():.3e}, {diag.max():.3e}] "
+            "indicates rank deficiency"
         )
     return LstsqFactor(q, r, e)
 

@@ -1,21 +1,22 @@
-"""Dense / CSR sparse matrices, MatrixMarket I/O, and synthetic generators.
+"""Dense matrices, MatrixMarket I/O, and synthetic generators.
 
-Dense matrices are plain 2-D float64 numpy arrays; vectors are 1-D arrays.
+Matrices are plain 2-D float64 numpy arrays; vectors are 1-D arrays.
 Generated matrices fill column-major (the draw order walks down each column),
 so a fixed seed pins every entry.
 
 MatrixMarket support covers the ``coordinate`` and ``array`` variants with
-``real`` field and ``general``/``symmetric`` symmetry.  Coordinate files load
-as CSR, array files as dense.  Duplicate coordinate entries are a hard parse
-error, not summed.  Writing uses ``repr`` floats, so a read-back reproduces
-values bit-exactly.
+``real`` field and ``general``/``symmetric`` symmetry.  Both load as dense
+arrays: coordinate entries are written into a zero matrix.  Duplicate
+coordinate entries are a hard parse error, not summed; an explicit zero is
+counted against the declared nnz and otherwise skipped.  Writing produces
+the array variant with ``repr`` floats, so a read-back reproduces values
+bit-exactly.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,76 +34,6 @@ class MatrixMarketError(ValueError):
         super().__init__(message)
 
 
-@dataclass
-class CsrMatrix:
-    """Compressed sparse row matrix with sorted, duplicate-free rows."""
-
-    shape: tuple[int, int]
-    row_offsets: np.ndarray   # int64, length rows+1
-    col_indices: np.ndarray   # int64, length nnz
-    values: np.ndarray        # float64, length nnz
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    def validate(self) -> None:
-        n, d = self.shape
-        if len(self.row_offsets) != n + 1:
-            raise ValueError("row_offsets length must be rows+1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be non-decreasing")
-        if len(self.col_indices) != self.nnz:
-            raise ValueError("col_indices length must equal nnz")
-        if self.nnz and (self.col_indices.min() < 0 or self.col_indices.max() >= d):
-            raise ValueError("column index out of range")
-        for i in range(n):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            cols = self.col_indices[lo:hi]
-            if len(cols) > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {i}: column indices not strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-        if np.any(self.values == 0.0):
-            raise ValueError("explicit zeros are not stored")
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "CsrMatrix":
-        """Build from coordinate triplets; duplicates raise ValueError."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        n, d = shape
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows) > 1:
-            dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(dup):
-                i = int(np.argmax(dup))
-                raise ValueError(f"duplicate entry at ({rows[i]}, {cols[i]})")
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_offsets, rows + 1, 1)
-        np.cumsum(row_offsets, out=row_offsets)
-        m = cls(shape=shape, row_offsets=row_offsets, col_indices=cols, values=vals)
-        m.validate()
-        return m
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.row_offsets))
-        out[rows, self.col_indices] = self.values
-        return out
-
-
-def densify(m) -> np.ndarray:
-    """CSR to dense; dense passes through unchanged."""
-    if isinstance(m, CsrMatrix):
-        return m.to_dense()
-    return np.asarray(m, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # MatrixMarket I/O
 
@@ -117,7 +48,7 @@ def _open_text(source, mode: str):
 
 
 def read_matrix_market(source):
-    """Parse a MatrixMarket file or stream into CSR (coordinate) or dense (array)."""
+    """Parse a MatrixMarket file or stream (coordinate or array) into a dense array."""
     fh, owned = _open_text(source, "r")
     try:
         return _parse_mm(fh)
@@ -194,10 +125,14 @@ def _parse_mm(fh):
                 vals.append(v)
         if seen != nnz:
             raise MatrixMarketError(f"declared nnz={nnz} but found {seen} entries", line_no)
-        try:
-            return CsrMatrix.from_coo(rows, cols, vals, (n, d))
-        except ValueError as exc:
-            raise MatrixMarketError(str(exc), line_no) from None
+        # np.unique sorts the keys, so the first duplicate is the first in row-major order
+        keys, counts = np.unique(np.asarray(rows, dtype=np.int64) * d + cols, return_counts=True)
+        if np.any(counts > 1):
+            r, c = divmod(int(keys[np.argmax(counts > 1)]), d)
+            raise MatrixMarketError(f"duplicate entry at ({r}, {c})", line_no)
+        out = np.zeros((n, d))
+        out[rows, cols] = vals
+        return out
 
     # array format
     if len(size_fields) != 2:
@@ -240,27 +175,16 @@ def _parse_mm(fh):
 
 
 def write_matrix_market(m, dest) -> None:
-    """Write dense as array/general, CSR as coordinate/general.
-
-    Values are written with ``repr`` so that read-back is bit-exact.
-    """
+    """Write a dense matrix as array/general, with ``repr`` values so read-back is bit-exact."""
+    a = np.asarray(m, dtype=np.float64)
+    n, d = a.shape
     fh, owned = _open_text(dest, "w")
     try:
-        if isinstance(m, CsrMatrix):
-            n, d = m.shape
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{n} {d} {m.nnz}\n")
-            rows = np.repeat(np.arange(n), np.diff(m.row_offsets))
-            for i, j, v in zip(rows, m.col_indices, m.values):
-                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
-        else:
-            a = np.asarray(m, dtype=np.float64)
-            n, d = a.shape
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{n} {d}\n")
-            for j in range(d):
-                for i in range(n):
-                    fh.write(f"{float(a[i, j])!r}\n")
+        fh.write("%%MatrixMarket matrix array real general\n")
+        fh.write(f"{n} {d}\n")
+        for j in range(d):
+            for i in range(n):
+                fh.write(f"{float(a[i, j])!r}\n")
     finally:
         if owned:
             fh.close()

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_TOL, LstsqFactor, lstsq_exact, singular_values, svd, thin_qr
-from .matrices import densify
 from .sketch import SketchOperator, sketch_apply
 
 _ZERO_REL = 1e-10
@@ -68,7 +67,7 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor) -> LsqRes
     ``exact`` is ``lstsq_factor(a)``, the unsketched solve's factor, made
     once for any number of right sides.
     """
-    a = densify(a)
+    a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or len(b) != a.shape[0]:
         raise ValueError(f"b must be a length-{a.shape[0]} vector, got shape {b.shape}")
@@ -88,7 +87,7 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor) -> LsqRes
 
 def best_rank_k_error(a, k: int) -> float:
     """Frobenius error of the optimal rank-k approximation: sqrt(sum of tail sigma^2)."""
-    a = densify(a)
+    a = np.asarray(a, dtype=np.float64)
     r = min(a.shape)
     if not 1 <= k <= r:
         raise ValueError(f"k must be in [1, {r}], got {k}")
@@ -108,7 +107,7 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
     signs of ``V_k`` are not normalized (see ``linalg``); the error and
     ratio do not depend on them.
     """
-    a = densify(a)
+    a = np.asarray(a, dtype=np.float64)
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k must be in [1, {min(n, d)}], got {k}")

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BipartiteGraph
-from .matrices import CsrMatrix, densify
 from .rng import KwiseHash, Prng, _subsets
 
 _ROW_STREAM = 1
@@ -161,48 +159,21 @@ def expander_sketch_params(k: int, eps: float, delta: float, c_m: float = 1.0) -
 
 
 def sketch_apply(op: SketchOperator, a) -> np.ndarray:
-    """Exact product S @ A, always returned dense.
+    """Exact product S @ A for a dense A.
 
-    Graph sketches scatter each nonzero of A into s output rows, so the
-    arithmetic cost is at most 2 s nnz(A); Gaussian sketches use a dense
+    Graph sketches scatter each row of A into s output rows, so the
+    arithmetic cost is at most 2 s n d; Gaussian sketches use a dense
     matrix product.
     """
-    if isinstance(op, GaussianSketch):
-        dense = densify(a)
-        if dense.shape[0] != op.n:
-            raise ValueError(f"operator expects {op.n} rows, got {dense.shape[0]}")
-        return op.entries @ dense
-
-    scale = op.scale
-    if isinstance(a, CsrMatrix):
-        if a.shape[0] != op.n:
-            raise ValueError(f"operator expects {op.n} rows, got {a.shape[0]}")
-        d = a.shape[1]
-        out = np.zeros((op.m, d))
-        src_rows = np.repeat(np.arange(a.shape[0]), np.diff(a.row_offsets))
-        for i in range(op.s):
-            target = op.rows_per_column[src_rows, i]
-            np.add.at(out, (target, a.col_indices), op.signs_per_column[src_rows, i] * a.values)
-        out *= scale
-        return out
-
     dense = np.asarray(a, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError(f"expected a 2-D input, got shape {dense.shape}")
     if dense.shape[0] != op.n:
         raise ValueError(f"operator expects {op.n} rows, got {dense.shape[0]}")
+    if isinstance(op, GaussianSketch):
+        return op.entries @ dense
     out = np.zeros((op.m, dense.shape[1]))
     for i in range(op.s):
         np.add.at(out, op.rows_per_column[:, i], op.signs_per_column[:, i, None] * dense)
-    out *= scale
+    out *= op.scale
     return out
-
-
-def sketch_to_graph(op: GraphSketch) -> BipartiteGraph:
-    """Forget signs and values: columns become left vertices, rows right ones.
-
-    The adjacency is ``op.rows_per_column`` itself, unsorted and not copied.
-    """
-    if not isinstance(op, GraphSketch):
-        raise TypeError("sketch_to_graph needs a GraphSketch")
-    return BipartiteGraph(op.n, op.m, op.s, adjacency=op.rows_per_column)

@@ -2,8 +2,9 @@
 
 Each is a slow, direct statement of a property that the package computes
 another way: the dense matrix of an operator (against ``sketch_apply``),
-the structure every graph sketch promises, and the neighbor set of a left
-subset (against the expansion and matching verifiers).
+the structure every graph sketch promises, the graph of a graph sketch,
+and the neighbor set of a left subset (against the expansion and matching
+verifiers).
 """
 
 import numpy as np
@@ -21,6 +22,11 @@ def sketch_densify(op) -> np.ndarray:
     for i in range(op.s):
         dense[op.rows_per_column[:, i], cols] = op.signs_per_column[:, i] * op.scale
     return dense
+
+
+def sketch_graph(op: GraphSketch) -> BipartiteGraph:
+    """The graph verify-graph checks: columns are left vertices, rows right ones."""
+    return BipartiteGraph(op.n, op.m, op.s, adjacency=op.rows_per_column)
 
 
 def check_graph_sketch(op: GraphSketch) -> None:

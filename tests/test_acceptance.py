@@ -21,7 +21,7 @@ from sketchbench.graphs import (
     verify_expansion,
 )
 from sketchbench.linalg import lstsq_factor, thin_qr
-from sketchbench.matrices import CsrMatrix, densify, gen_gaussian, gen_low_rank_plus_noise
+from sketchbench.matrices import gen_gaussian, gen_low_rank_plus_noise
 from sketchbench.metrics import distortion, distortion_via_basis
 from sketchbench.pipelines import best_rank_k_error, lowrank_approx, sketch_and_solve_lsq
 from sketchbench.rng import KwiseHash, Prng
@@ -83,21 +83,20 @@ def test_c02_fast_apply_matches_densified_operator():
         rng = Prng(21_000 + seed)
         dense = gen_gaussian(60, 9, rng.split(0))
         uniform = (rng.split(1).raw(60 * 9) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        mask = uniform.reshape(60, 9) < 0.25
-        rows, cols = np.nonzero(mask)
-        sparse = CsrMatrix.from_coo(rows, cols, dense[mask], (60, 9))
+        # the same matrix with about 75% of its entries zeroed, still held dense
+        sparse = np.where(uniform.reshape(60, 9) < 0.25, dense, 0.0)
         for s in (1, 2, 4, 8):
             op = graph_sketch_new(60, 24, s, rng.split(10 + s))
             sd = sketch_densify(op)
             for mat in (dense, sparse):
                 got = sketch_apply(op, mat)
-                want = sd @ densify(mat)
+                want = sd @ mat
                 worst = max(worst, float(np.max(np.abs(got - want))))
     dt = time.perf_counter() - t0
     _report(
         "02 fast-apply",
         worst <= 1e-12 and dt < 10.0,
-        f"max entry deviation = {worst:.3e} (dense and CSR, s in 1..8), {dt:.1f}s",
+        f"max entry deviation = {worst:.3e} (dense and sparse-pattern, s in 1..8), {dt:.1f}s",
     )
 
 

@@ -367,6 +367,28 @@ def test_rank_deficient_matrix_market_input_exits_4_before_the_output_opens(tmp_
     assert not out.exists()
 
 
+def test_coordinate_and_array_files_give_the_same_rows(tmp_path):
+    a = Prng(38).normal(40 * 5).reshape(40, 5)
+    a[Prng(39).normal(40 * 5).reshape(40, 5) < 0.3] = 0.0  # about 60% zeros
+    rows, cols = np.nonzero(a)
+    coordinate = tmp_path / "coordinate.mtx"
+    coordinate.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        f"40 5 {len(rows) + 1}\n"
+        + "".join(f"{i + 1} {j + 1} {float(a[i, j])!r}\n" for i, j in zip(rows, cols))
+        + f"{rows[0] + 1} {cols[0] + 1} 0.0\n"  # an explicit zero beside a nonzero
+    )
+    array = tmp_path / "array.mtx"
+    write_matrix_market(a, str(array))
+    outs = []
+    for mtx in (coordinate, array):
+        out = tmp_path / f"{mtx.stem}.csv"
+        cfg = _write_sweep_cfg(tmp_path, input=str(mtx))
+        assert main(["distortion-sweep", "--config", cfg, "--out", str(out)]) == 0
+        outs.append([row[:1] + row[2:-1] for row in _rows(out)])
+    assert len(outs[0]) == 8 and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command", ["distortion-sweep", "lsq-bench"])
 def test_wide_input_exits_4_before_the_output_opens(tmp_path, capsys, command):
     out = tmp_path / "x.csv"

