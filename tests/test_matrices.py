@@ -46,6 +46,21 @@ def test_read_coordinate():
     assert np.count_nonzero(m) == 3
 
 
+def test_csr_from_coo_roundtrip():
+    # COO triples given out of row order come back as the dense array they name
+    text = """%%MatrixMarket matrix coordinate real general
+3 3 4
+1 2 1.5
+2 1 -2.0
+3 3 3.0
+2 3 4.0
+"""
+    m = read_matrix_market(io.StringIO(text))
+    expected = np.array([[0, 1.5, 0], [-2.0, 0, 4.0], [0, 0, 3.0]])
+    np.testing.assert_array_equal(m, expected)
+    assert np.count_nonzero(m) == 4
+
+
 def test_read_coordinate_places_entries_bitexact():
     text = """%%MatrixMarket matrix coordinate real general
 5 4 5
@@ -170,6 +185,19 @@ def test_write_read_roundtrip_dense_bitexact():
     buf.seek(0)
     back = read_matrix_market(buf)
     np.testing.assert_array_equal(back, a)
+
+
+def test_write_read_roundtrip_csr_bitexact():
+    # a mostly-zero matrix keeps its tiny, huge and inexact values and its zeros
+    m = np.zeros((5, 4))
+    m[[0, 1, 4, 2], [3, 0, 2, 2]] = [0.1, -2.5e-17, 3.25, 1e300]
+    buf = io.StringIO()
+    write_matrix_market(m, buf)
+    buf.seek(0)
+    back = read_matrix_market(buf)
+    assert back.shape == m.shape
+    np.testing.assert_array_equal(back, m)
+    np.testing.assert_array_equal(np.flatnonzero(back), np.flatnonzero(m))
 
 
 def test_file_roundtrip(tmp_path):
