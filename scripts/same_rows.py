@@ -6,10 +6,13 @@ Extracts BASE with ``git archive`` into a temporary directory, then runs
 every step of every workload in ``perfbench/workloads.py`` (its config
 files, profile and thread count) at seeds 42 and 7, once with BASE's
 ``src`` and once with this checkout's, as ``python3 -m sketchbench.cli``
-with ``PYTHONPATH=<tree>/src`` and BLAS on one thread.  It compares CSV
-columns 1-14 (every column but ``wall_time_ms``) and any witness file
-byte for byte, prints one line per (step, seed), and exits 1 if any run
-fails or any output differs.  Run it from anywhere inside the checkout.
+with ``PYTHONPATH=<tree>/src`` and BLAS on one thread.  No workload finds
+an expansion witness, so it also runs ``verify-graph`` on
+``scripts/verify_graph_witness.cfg``, which does, at 1 and 2 threads.  It
+compares CSV columns 1-14 (every column but ``wall_time_ms``) and any
+witness file byte for byte, prints one line per (step, threads, seed), and
+exits 1 if any run fails or any output differs.  Run it from anywhere
+inside the checkout.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, Step  # noqa: E402
 
 SEEDS = (42, 7)
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
+# an absolute config path replaces Step's perfbench/configs directory
+WITNESS_STEPS = tuple(Step("verify-graph", str(ROOT / "scripts" / "verify_graph_witness.cfg"),
+                           None, threads) for threads in (1, 2))
 
 
 def extract(base: str, dest: Path) -> None:
@@ -65,26 +71,28 @@ def main(argv=None) -> int:
         sides = (("base", base_tree), ("work", ROOT))
         for side, _ in sides:
             (Path(tmp) / f"{side}.out").mkdir()
-        for wl in WORKLOADS.values():
-            for step in wl.steps:
-                for seed in SEEDS:
-                    name = f"{wl.name}.{step.command}.seed{seed}.csv"
-                    (rc_base, rows_base, wit_base), (rc_work, rows_work, wit_work) = (
-                        run_step(tree, step, seed, Path(tmp) / f"{side}.out" / name)
-                        for side, tree in sides)
-                    if rc_base or rc_work:
-                        verdict = f"FAILED (exit {rc_base} at base, {rc_work} here)"
-                    elif rows_base != rows_work:
-                        diff = sum(a != b for a, b in zip(rows_base, rows_work))
-                        diff += abs(len(rows_base) - len(rows_work))
-                        verdict = f"DIFFERENT ({diff} of {len(rows_base) - 1} rows)"
-                    elif wit_base != wit_work:
-                        verdict = "DIFFERENT (witness file)"
-                    else:
-                        witness = ", witness same" if wit_base is not None else ""
-                        verdict = f"same ({len(rows_base) - 1} rows{witness})"
-                    failed |= not verdict.startswith("same")
-                    print(f"{wl.name} {step.command} seed={seed}: {verdict}", flush=True)
+        steps = [(wl.name, step) for wl in WORKLOADS.values() for step in wl.steps]
+        steps += [("witness", step) for step in WITNESS_STEPS]
+        for wl_name, step in steps:
+            for seed in SEEDS:
+                name = f"{wl_name}.{step.command}.t{step.threads}.seed{seed}.csv"
+                (rc_base, rows_base, wit_base), (rc_work, rows_work, wit_work) = (
+                    run_step(tree, step, seed, Path(tmp) / f"{side}.out" / name)
+                    for side, tree in sides)
+                if rc_base or rc_work:
+                    verdict = f"FAILED (exit {rc_base} at base, {rc_work} here)"
+                elif rows_base != rows_work:
+                    diff = sum(a != b for a, b in zip(rows_base, rows_work))
+                    diff += abs(len(rows_base) - len(rows_work))
+                    verdict = f"DIFFERENT ({diff} of {len(rows_base) - 1} rows)"
+                elif wit_base != wit_work:
+                    verdict = "DIFFERENT (witness file)"
+                else:
+                    witness = ", witness same" if wit_base is not None else ""
+                    verdict = f"same ({len(rows_base) - 1} rows{witness})"
+                failed |= not verdict.startswith("same")
+                print(f"{wl_name} {step.command} threads={step.threads} seed={seed}: "
+                      f"{verdict}", flush=True)
     return 1 if failed else 0
 
 

@@ -19,9 +19,10 @@ naming every missing one, before the output is opened.
 Every sweep command runs on one engine, ``run_units``: the command checks
 its inputs, computes once what depends on the dataset alone, and supplies
 one work unit, a function of (method, m, trial) and a random stream that
-returns a metric; the engine owns the loop, the streams, the timing, the
-thread pool and the rows.  verify-graph and magical-delta are one-method
-sweeps over the graph of the n and s keys.
+returns a metric and an optional witness line; the engine owns the loop,
+the streams, the timing, the thread pool and the rows, and ``_write_csv``
+writes each row with its witness line.  verify-graph and magical-delta are
+one-method sweeps over the graph of the n and s keys.
 
 Every CSV cell except wall_time_ms is a pure function of (command, config,
 seed), given BLAS on one thread (OPENBLAS_NUM_THREADS=1 or the OMP/MKL
@@ -30,8 +31,9 @@ Each work unit draws its randomness from a child stream keyed by a
 hash of (command, method label, m, trial), so adding methods or m values to
 a sweep never changes the rows that were already there, and thread count
 never affects output: rows are emitted in (method, m, trial) order no
-matter which worker finishes first.  Each row is written as soon as it and
-every earlier row are done, so a sweep that fails keeps its finished rows.
+matter which worker finishes first.  Each row, and its witness line, is
+written as soon as it and every earlier row are done, so a sweep that fails
+keeps its finished rows and their witness lines.
 
 Method specs are colon-separated: ``graph:s=2``, ``graph:s=4:gamma=8``,
 ``countsketch`` (same as graph:s=1), ``gaussian``.  Graph methods round m
@@ -55,13 +57,14 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import BipartiteGraph, BudgetExceededError, estimate_magical_delta, verify_expansion
+from .graphs import (BipartiteGraph, BudgetExceededError, _check_expansion_budget,
+                     estimate_magical_delta, verify_expansion)
 # thin_qr stays bound here: perfbench/test_perfbench.py patches and restores cli.thin_qr
 from .linalg import ConvergenceError, RankDeficiencyError, lstsq_factor, thin_qr  # noqa: F401
 from .matrices import gen_gaussian, gen_low_rank_plus_noise, read_matrix_market, write_matrix_market
@@ -357,11 +360,11 @@ def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
               methods, unit, trials: int | None = None):
     """The sweep engine shared by every command: rows in (method, m, trial) order.
 
-    ``unit(method, m, m_eff, trial, stream)`` returns ``(metric_name, value)``
-    for one work unit; the engine derives the unit's stream, times it and
-    formats its CSV line, in the columns of ``CSV_HEADER``.  The result is an
-    iterator, so a caller can write each row as soon as it and every earlier
-    one are done.
+    ``unit(method, m, m_eff, trial, stream)`` returns ``(metric_name, value,
+    witness)``, the witness a line or None; the engine derives the unit's
+    stream, times it and formats its CSV row, in the columns of ``CSV_HEADER``.
+    The result is an iterator of (row, witness) pairs, so a caller can write
+    each as soon as it and every earlier one are done.
     """
     master = Prng(cfg.seed)
     items = [
@@ -376,14 +379,14 @@ def run_units(cfg: ExperimentConfig, dataset: str, n: int, d: int, k: int,
         t0 = time.perf_counter()
         m_eff = method.effective_m(m)
         stream = _trial_stream(master, cfg.command, method.label, m, trial)
-        metric_name, value = unit(method, m, m_eff, trial, stream)
+        metric_name, value, witness = unit(method, m, m_eff, trial, stream)
         wall_time_ms = (time.perf_counter() - t0) * 1000.0
         # float() first: under numpy 2 the repr of an np.float64 is np.float64(...)
         return (
             f"{cfg.command},{dataset},{method.label},{n},{d},{method.s},{method.gamma_text},"
             f"{m},{m_eff},{k},{trial},{cfg.seed},{metric_name},{float(value)!r},"
             f"{wall_time_ms:.3f}"
-        )
+        ), witness
 
     return _pool_map(work, items, cfg.threads)
 
@@ -400,7 +403,7 @@ def run_distortion_sweep(cfg: ExperimentConfig):
 
     def unit(method, m, m_eff, trial, stream):
         op = method.build(n, m_eff, stream, cfg.row_mode)
-        return "distortion", distortion_via_basis(basis, op).eta
+        return "distortion", distortion_via_basis(basis, op).eta, None
 
     return run_units(cfg, cfg.input, n, d, d, cfg.methods, unit)
 
@@ -420,9 +423,9 @@ def run_lowrank_sweep(cfg: ExperimentConfig):
         if m_eff < cfg.k:
             # too few sketch rows to capture a rank-k subspace; emit a
             # warning row instead of aborting the sweep
-            return "skipped_m_below_k", 1.0
+            return "skipped_m_below_k", 1.0, None
         op = method.build(n, m_eff, stream, cfg.row_mode)
-        return "lowrank_ratio", lowrank_approx(a, cfg.k, op, optimal).ratio
+        return "lowrank_ratio", lowrank_approx(a, cfg.k, op, optimal).ratio, None
 
     return run_units(cfg, cfg.input, n, d, cfg.k, cfg.methods, unit)
 
@@ -433,6 +436,11 @@ def run_lsq_bench(cfg: ExperimentConfig):
     # the unsketched solve's factor: one A for every unit; refuses a wide or
     # rank-deficient A
     exact = lstsq_factor(a)
+    for method in cfg.methods:
+        for m in cfg.m_values:
+            if (m_eff := method.effective_m(m)) < d:
+                raise RankDeficiencyError(f"{method.label} at m={m}: full column rank needs "
+                                          f"m_effective >= d, got {m_eff}x{d}")
 
     def unit(method, m, m_eff, trial, stream):
         op = method.build(n, m_eff, stream.split(0), cfg.row_mode)
@@ -440,7 +448,7 @@ def run_lsq_bench(cfg: ExperimentConfig):
         x0 = stream.split(1).normal(d)
         noise = stream.split(2).normal(n)
         b = a @ x0 + 0.1 * noise
-        return "lsq_ratio", sketch_and_solve_lsq(a, b, op, exact).ratio
+        return "lsq_ratio", sketch_and_solve_lsq(a, b, op, exact).ratio, None
 
     return run_units(cfg, cfg.input, n, d, d, cfg.methods, unit)
 
@@ -452,28 +460,17 @@ def _graph_method(cfg: ExperimentConfig) -> MethodSpec:
 
 def run_verify_graph(cfg: ExperimentConfig):
     method = _graph_method(cfg)
-    witnesses: dict[tuple[int, int], str] = {}
+    # the budget depends on (n, k) alone: refuse before the output opens
+    _check_expansion_budget(cfg.n, cfg.k)
 
     def unit(method, m, m_eff, trial, stream):
         op = method.build(cfg.n, m_eff, stream, cfg.row_mode)
         g = BipartiteGraph(op.n, op.m, op.s, adjacency=op.rows_per_column)
         res = verify_expansion(g, cfg.k, cfg.eps)
-        if res.witness is not None:
-            witnesses[m, trial] = f"m={m} trial={trial} witness={list(res.witness)}"
-        return "expansion_holds", 1.0 if res.holds else 0.0
+        witness = None if res.holds else f"m={m} trial={trial} witness={list(res.witness)}"
+        return "expansion_holds", 1.0 if res.holds else 0.0, witness
 
-    rows = run_units(cfg, method.label, cfg.n, 0, cfg.k, (method,), unit)
-
-    def rows_then_witnesses():
-        yield from rows
-        if witnesses:
-            text = "".join(witnesses[key] + "\n" for key in sorted(witnesses))
-            if cfg.output is not None:
-                Path(cfg.output + ".witness.txt").write_text(text)
-            else:
-                sys.stderr.write(text)
-
-    return rows_then_witnesses()
+    return run_units(cfg, method.label, cfg.n, 0, cfg.k, (method,), unit)
 
 
 def run_magical_delta(cfg: ExperimentConfig):
@@ -481,7 +478,7 @@ def run_magical_delta(cfg: ExperimentConfig):
 
     def unit(method, m, m_eff, trial, stream):
         rate = estimate_magical_delta(cfg.n, m_eff, cfg.s, cfg.k, cfg.trials, stream)
-        return "failure_rate", rate
+        return "failure_rate", rate, None
 
     # one row per m: the estimator runs the cfg.trials trials itself
     return run_units(cfg, method.label, cfg.n, 0, cfg.k, (method,), unit, trials=1)
@@ -511,12 +508,24 @@ COMMANDS = {
 
 
 def _write_csv(rows, output: str | None) -> None:
-    """Header first, then each row as soon as it and every earlier row are done."""
-    with open(output, "w") if output is not None else nullcontext(sys.stdout) as out:
+    """Header first, then each row and its witness line as soon as it and every
+    earlier row are done.  Witnesses go to stderr without ``output``, else to
+    ``<output>.witness.txt``, opened at the first one; opening ``output``
+    removes an earlier run's, so that file always describes ``output``."""
+    with ExitStack() as files:
+        out, witness_out = sys.stdout, sys.stderr
+        if output is not None:
+            out, witness_out = files.enter_context(open(output, "w")), None
+            Path(output + ".witness.txt").unlink(missing_ok=True)
         out.write(CSV_HEADER + "\n")
-        for row in rows:
+        for row, witness in rows:
             out.write(row + "\n")
             out.flush()
+            if witness is not None:
+                if witness_out is None:
+                    witness_out = files.enter_context(open(output + ".witness.txt", "w"))
+                witness_out.write(witness + "\n")
+                witness_out.flush()
 
 
 def _arg_parser() -> argparse.ArgumentParser:

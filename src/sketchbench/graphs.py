@@ -65,6 +65,18 @@ class ExpansionResult:
     witness: tuple[int, ...] | None
 
 
+def _check_expansion_budget(n: int, k: int) -> None:
+    """Refuse (BudgetExceededError) when the subsets of sizes 1..k of n exceed the budget."""
+    required = 0
+    for j in range(1, min(k, n) + 1):
+        required += math.comb(n, j)
+        if required > EXPANSION_BUDGET:
+            raise BudgetExceededError(
+                f"checking all subsets up to size {k} of {n} left vertices needs "
+                f"more than {EXPANSION_BUDGET} subset evaluations ({required}+)"
+            )
+
+
 def verify_expansion(g: BipartiteGraph, k: int, eps: float) -> ExpansionResult:
     """Check |Γ(C)| > (1-eps)·s·|C| for all C with 1 ≤ |C| ≤ k, exactly.
 
@@ -80,14 +92,7 @@ def verify_expansion(g: BipartiteGraph, k: int, eps: float) -> ExpansionResult:
         raise ValueError(f"k must be >= 1, got {k}")
     n, s = g.left_count, g.degree
     kmax = min(k, n)
-    required = 0
-    for j in range(1, kmax + 1):
-        required += math.comb(n, j)
-        if required > EXPANSION_BUDGET:
-            raise BudgetExceededError(
-                f"checking all subsets up to size {k} of {n} left vertices needs "
-                f"more than {EXPANSION_BUDGET} subset evaluations ({required}+)"
-            )
+    _check_expansion_budget(n, k)
     if kmax == 0:
         return ExpansionResult(holds=True, witness=None)
     # |Γ(C)| is an integer, so "not |Γ(C)| > (1-eps)·s·|C|" is |Γ(C)| <= limit.

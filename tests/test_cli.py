@@ -268,6 +268,9 @@ def test_distortion_sweep_same_seed_identical_bytes(tmp_path):
 
 
 _VERIFY_GRAPH_CFG = "n = 60\ns = 2\nk = 2\neps = 0.5\nm_values = 8\ntrials = 2\nseed = 5\n"
+# witnesses of sizes 2 and 3, at m = 8, 16 and 24 only
+_WITNESS_CFG = ("n = 60\ns = 4\nk = 3\neps = 0.5\nm_values = 8,16,24,48,96\ntrials = 3\n"
+                "row_mode = subset\nseed = 42\n")
 
 
 @pytest.mark.parametrize("command, cfg_text", [
@@ -326,6 +329,47 @@ def test_unexpected_exception_exits_1_and_keeps_the_rows_before_it(tmp_path, mon
     assert "internal error: RuntimeError: injected fault" in err
     assert "Traceback" not in err
     assert _without_time(cut) == _without_time(clean)[:2]  # header and the first row
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_failed_verify_graph_unit_keeps_the_witnesses_before_it(tmp_path, monkeypatch, threads):
+    cfg_file = tmp_path / "w.cfg"
+    cfg_file.write_text(_WITNESS_CFG)
+    clean, cut = tmp_path / "clean.csv", tmp_path / "cut.csv"
+    args = ["verify-graph", "--config", str(cfg_file), "--threads", threads, "--out"]
+    assert main([*args, str(clean)]) == 0
+    real = cli.verify_expansion
+
+    def fails_at_m_24(g, k, eps):
+        # keyed by the graph, not by call count: threads call units out of item order
+        if g.right_count == 24:
+            raise RuntimeError("injected fault")
+        return real(g, k, eps)
+
+    monkeypatch.setattr(cli, "verify_expansion", fails_at_m_24)
+    assert main([*args, str(cut)]) == 1
+    assert _without_time(cut) == _without_time(clean)[:7]  # header and the rows of m = 8, 16
+    clean_witness = Path(f"{clean}.witness.txt").read_text()
+    cut_witness = Path(f"{cut}.witness.txt").read_text()
+    assert len(cut_witness.splitlines()) == 6 and clean_witness.startswith(cut_witness)
+
+
+def test_rerun_to_the_same_output_removes_a_stale_witness_file(tmp_path, capsys):
+    cfg_file = tmp_path / "w.cfg"
+    cfg_file.write_text(_WITNESS_CFG)
+    out, witness = tmp_path / "o.csv", tmp_path / "o.csv.witness.txt"
+    args = ["verify-graph", "--config", str(cfg_file), "--out", str(out)]
+    assert main(args) == 0
+    before = out.read_text(), witness.read_text()
+    # a run refused in set-up touches neither file
+    cfg_file.write_text(_WITNESS_CFG.replace("k = 3", "k = 6"))
+    assert main(args) == 4
+    assert "subset evaluations" in capsys.readouterr().err
+    assert (out.read_text(), witness.read_text()) == before
+    cfg_file.write_text(_WITNESS_CFG.replace("m_values = 8,16,24,48,96", "m_values = 96"))
+    assert main(args) == 0
+    assert [r[13] for r in _rows(out)] == ["1.0"] * 3
+    assert not witness.exists()
 
 
 def test_adding_a_method_preserves_existing_rows(tmp_path):
@@ -395,6 +439,24 @@ def test_wide_input_exits_4_before_the_output_opens(tmp_path, capsys, command):
     cfg = _write_sweep_cfg(tmp_path, input="gen:gaussian:8x12", m_values="4", trials="1")
     assert main([command, "--config", cfg, "--out", str(out)]) == 4
     assert "8x12" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lsq_bench_refuses_m_effective_below_d_before_the_output_opens(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    cfg = _write_sweep_cfg(tmp_path, input="gen:gaussian:400x20", m_values="10,40")
+    assert main(["lsq-bench", "--config", cfg, "--out", str(out)]) == 4
+    assert "graph:s=2 at m=10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_graph_refuses_the_expansion_budget_before_the_output_opens(tmp_path, capsys):
+    cfg_file = tmp_path / "g.cfg"
+    cfg_file.write_text(_VERIFY_GRAPH_CFG.replace("n = 60", "n = 400").replace("k = 2", "k = 4"))
+    out = tmp_path / "g.csv"
+    assert main(["verify-graph", "--config", str(cfg_file), "--out", str(out)]) == 4
+    assert ("checking all subsets up to size 4 of 400 left vertices needs more than 10000000 "
+            "subset evaluations") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -527,9 +589,7 @@ def test_magical_delta_row_per_m(tmp_path):
     ("magical-delta", "n = 400\ns = 2\nk = 10\nm_values = 20,40,80,160\ntrials = 150\nseed = 42\n",
      {("failure_rate", True), ("failure_rate", False)},
      "6b53045ec567ad6202df052e1b4874729e433c98b14820c6e4f8b086e809481d", None),
-    # witnesses of sizes 2 and 3
-    ("verify-graph", "n = 60\ns = 4\nk = 3\neps = 0.5\nm_values = 8,16,24,48,96\ntrials = 3\n"
-                     "row_mode = subset\nseed = 42\n",
+    ("verify-graph", _WITNESS_CFG,
      {("expansion_holds", True), ("expansion_holds", False)},
      "b852312e1411f3ec45bb393253745da5b207120e835917ea7e266298e4835dd9",
      "3bc085535ac13482dd3b61ee95abcd771c3dc08abbf3c2d6be04f9ebaa43ccd0"),
