@@ -8,11 +8,15 @@ files, profile and thread count) at seeds 42 and 7, once with BASE's
 ``src`` and once with this checkout's, as ``python3 -m sketchbench.cli``
 with ``PYTHONPATH=<tree>/src`` and BLAS on one thread.  No workload finds
 an expansion witness, so it also runs ``verify-graph`` on
-``scripts/verify_graph_witness.cfg``, which does, at 1 and 2 threads.  It
-compares CSV columns 1-14 (every column but ``wall_time_ms``) and any
-witness file byte for byte, prints one line per (step, threads, seed), and
-exits 1 if any run fails or any output differs.  Run it from anywhere
-inside the checkout.
+``scripts/verify_graph_witness.cfg``, which does, at 1 and 2 threads.  No
+workload reads a file either, so it writes four small MatrixMarket files
+into its temporary directory (coordinate and array, general and
+symmetric; with numpy and f-strings, not the reader under test) and runs
+``distortion-sweep`` on each, through the same absolute path at both
+trees so the ``dataset`` column matches.  It compares CSV columns 1-14
+(every column but ``wall_time_ms``) and any witness file byte for byte,
+prints one line per (step, threads, seed), and exits 1 if any run fails or
+any output differs.  Run it from anywhere inside the checkout.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, Step  # noqa: E402
@@ -34,6 +40,40 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # an absolute config path replaces Step's perfbench/configs directory
 WITNESS_STEPS = tuple(Step("verify-graph", str(ROOT / "scripts" / "verify_graph_witness.cfg"),
                            None, threads) for threads in (1, 2))
+
+
+def matrix_market_steps(tmp: Path) -> list[tuple[str, Step]]:
+    """One distortion-sweep step per MatrixMarket variant and symmetry, on
+    files written here: a seeded, full-rank 60x8 (30% zeros, which a
+    coordinate file leaves out) and a 24x24 symmetric matrix."""
+    rng = np.random.default_rng(2024)
+    general = rng.standard_normal((60, 8))
+    general[rng.random((60, 8)) < 0.3] = 0.0
+    b = rng.standard_normal((24, 24))
+    symmetric = b + b.T
+    column_major = [(i, j) for j in range(8) for i in range(60)]
+    lower = [(i, j) for j in range(24) for i in range(j, 24)]
+
+    def coordinate(a, cells):
+        cells = [(i, j) for i, j in cells if a[i, j] != 0.0]
+        return (f"{a.shape[0]} {a.shape[1]} {len(cells)}\n"
+                + "".join(f"{i + 1} {j + 1} {float(a[i, j])!r}\n" for i, j in cells))
+
+    def array(a, cells):
+        return f"{a.shape[0]} {a.shape[1]}\n" + "".join(f"{float(a[i, j])!r}\n" for i, j in cells)
+
+    steps = []
+    for variant, body in (("coordinate", coordinate), ("array", array)):
+        for symmetry, a, cells in (("general", general, column_major),
+                                   ("symmetric", symmetric, lower)):
+            name = f"{variant}-{symmetry}"
+            mtx, cfg = tmp / f"{name}.mtx", tmp / f"{name}.cfg"
+            mtx.write_text(f"%%MatrixMarket matrix {variant} real {symmetry}\n"
+                           + body(a, cells))
+            cfg.write_text(f"input = {mtx}\nmethods = graph:s=2,gaussian\n"
+                           "m_values = 16,32\ntrials = 2\n")
+            steps.append((name, Step("distortion-sweep", str(cfg), None, 1)))
+    return steps
 
 
 def extract(base: str, dest: Path) -> None:
@@ -73,6 +113,7 @@ def main(argv=None) -> int:
             (Path(tmp) / f"{side}.out").mkdir()
         steps = [(wl.name, step) for wl in WORKLOADS.values() for step in wl.steps]
         steps += [("witness", step) for step in WITNESS_STEPS]
+        steps += matrix_market_steps(Path(tmp))
         for wl_name, step in steps:
             for seed in SEEDS:
                 name = f"{wl_name}.{step.command}.t{step.threads}.seed{seed}.csv"

@@ -299,6 +299,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.row_mode not in ("block", "subset"):
         raise ConfigError(f"row_mode must be block or subset, got {cfg.row_mode!r}")
+    gamma = next((m.label for m in cfg.methods if m.gamma is not None), None)
+    if gamma is not None and cfg.row_mode == "subset":
+        raise ConfigError(f"{gamma}: gamma-wise hashing is only defined for row_mode='block'")
     missing = [key for key in COMMANDS[cfg.command][1] if getattr(cfg, key) in (None, ())]
     if missing:
         raise ConfigError(f"{cfg.command} requires {' and '.join(missing)}")

@@ -5,12 +5,15 @@ Generated matrices fill column-major (the draw order walks down each column),
 so a fixed seed pins every entry.
 
 MatrixMarket support covers the ``coordinate`` and ``array`` variants with
-``real`` field and ``general``/``symmetric`` symmetry.  Both load as dense
-arrays: coordinate entries are written into a zero matrix.  Duplicate
-coordinate entries are a hard parse error, not summed; an explicit zero is
-counted against the declared nnz and otherwise skipped.  Writing produces
-the array variant with ``repr`` floats, so a read-back reproduces values
-bit-exactly.
+``real`` field and ``general``/``symmetric`` symmetry.  One streaming reader
+serves both: a single line loop skips blank and ``%`` lines and feeds the
+size line and then the data, and one size-line parser requires rows and
+cols >= 1 and, for ``coordinate``, nnz >= 0.  Both load as dense arrays:
+coordinate entries are written into a zero matrix.  Duplicate coordinate
+entries are a hard parse error, not summed; an explicit zero is counted
+against the declared nnz and otherwise skipped.  Every parse error is a
+``MatrixMarketError`` naming its line.  Writing produces the array variant
+with ``repr`` floats, so a read-back reproduces values bit-exactly.
 """
 
 from __future__ import annotations
@@ -73,104 +76,91 @@ def _parse_mm(fh):
         raise MatrixMarketError(f"unsupported or malformed header: {header.strip()!r}", 1)
     fmt = parts[2].lower()
     symmetric = parts[4].lower() == "symmetric"
-
     line_no = 1
-    size_fields = None
-    for line in fh:
-        line_no += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_fields = stripped.split()
-        break
-    if size_fields is None:
-        raise MatrixMarketError("missing size line", line_no)
 
-    if fmt == "coordinate":
-        if len(size_fields) != 3:
-            raise MatrixMarketError("coordinate size line needs 'rows cols nnz'", line_no)
-        try:
-            n, d, nnz = (int(f) for f in size_fields)
-        except ValueError:
-            raise MatrixMarketError(f"bad size line {size_fields}", line_no) from None
-        if symmetric and n != d:
-            raise MatrixMarketError("symmetric matrix must be square", line_no)
-        rows, cols, vals = [], [], []
-        seen = 0
+    def data_lines():
+        # line_no stays at the last line read, so end-of-input errors name it
+        nonlocal line_no
         for line in fh:
             line_no += 1
             stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise MatrixMarketError(f"expected 'i j value', got {stripped!r}", line_no)
-            try:
-                i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError:
-                raise MatrixMarketError(f"bad entry {stripped!r}", line_no) from None
-            if not (1 <= i <= n and 1 <= j <= d):
-                raise MatrixMarketError(f"index ({i}, {j}) out of bounds for {n}x{d}", line_no)
-            if not np.isfinite(v):
-                raise MatrixMarketError(f"non-finite value {fields[2]}", line_no)
-            seen += 1
-            if v == 0.0:
-                continue
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            if symmetric and i != j:
-                rows.append(j - 1)
-                cols.append(i - 1)
-                vals.append(v)
-        if seen != nnz:
-            raise MatrixMarketError(f"declared nnz={nnz} but found {seen} entries", line_no)
-        # np.unique sorts the keys, so the first duplicate is the first in row-major order
-        keys, counts = np.unique(np.asarray(rows, dtype=np.int64) * d + cols, return_counts=True)
-        if np.any(counts > 1):
-            r, c = divmod(int(keys[np.argmax(counts > 1)]), d)
-            raise MatrixMarketError(f"duplicate entry at ({r}, {c})", line_no)
-        out = np.zeros((n, d))
-        out[rows, cols] = vals
-        return out
+            if stripped and not stripped.startswith("%"):
+                yield stripped
 
-    # array format
-    if len(size_fields) != 2:
-        raise MatrixMarketError("array size line needs 'rows cols'", line_no)
+    lines = data_lines()
+    size_line = next(lines, None)
+    if size_line is None:
+        raise MatrixMarketError("missing size line", line_no)
+    size_fields = size_line.split()
+    need = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    if len(size_fields) != len(need.split()):
+        raise MatrixMarketError(f"{fmt} size line needs '{need}'", line_no)
     try:
-        n, d = (int(f) for f in size_fields)
+        n, d, *nnz = (int(f) for f in size_fields)
     except ValueError:
         raise MatrixMarketError(f"bad size line {size_fields}", line_no) from None
+    if n < 1 or d < 1 or min(nnz, default=0) < 0:
+        raise MatrixMarketError(
+            f"bad size line {size_fields}: rows and cols must be >= 1, nnz >= 0", line_no
+        )
     if symmetric and n != d:
         raise MatrixMarketError("symmetric matrix must be square", line_no)
-    expected = n * (n + 1) // 2 if symmetric else n * d
-    entries = []
-    for line in fh:
-        line_no += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
+
+    if fmt == "array":
+        try:
+            # tok is bound in this scope, so a bad value can be named
+            values = np.array([float(tok := t) for line in lines for t in line.split()])
+        except ValueError:
+            raise MatrixMarketError(f"bad value {tok!r}", line_no) from None
+        expected = n * (n + 1) // 2 if symmetric else n * d
+        if len(values) != expected:
+            raise MatrixMarketError(
+                f"expected {expected} array entries, found {len(values)}", line_no
+            )
+        if not np.all(np.isfinite(values)):
+            raise MatrixMarketError("non-finite value in array data", line_no)
+        if not symmetric:
+            return values.reshape((n, d), order="F")
+        out = np.empty((n, d))
+        # the upper triangle's indices, swapped: the lower triangle in column-major order
+        cols, rows = np.triu_indices(n)
+        out[rows, cols] = values
+        out[cols, rows] = values
+        return out
+
+    rows, cols, vals = [], [], []
+    seen = 0
+    for stripped in lines:
+        fields = stripped.split()
+        if len(fields) != 3:
+            raise MatrixMarketError(f"expected 'i j value', got {stripped!r}", line_no)
+        try:
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise MatrixMarketError(f"bad entry {stripped!r}", line_no) from None
+        if not (1 <= i <= n and 1 <= j <= d):
+            raise MatrixMarketError(f"index ({i}, {j}) out of bounds for {n}x{d}", line_no)
+        if not np.isfinite(v):
+            raise MatrixMarketError(f"non-finite value {fields[2]}", line_no)
+        seen += 1
+        if v == 0.0:
             continue
-        for tok in stripped.split():
-            try:
-                entries.append(float(tok))
-            except ValueError:
-                raise MatrixMarketError(f"bad value {tok!r}", line_no) from None
-    if len(entries) != expected:
-        raise MatrixMarketError(
-            f"expected {expected} array entries, found {len(entries)}", line_no
-        )
-    out = np.empty((n, d))
-    if symmetric:
-        idx = 0
-        for j in range(d):
-            for i in range(j, n):
-                out[i, j] = entries[idx]
-                out[j, i] = entries[idx]
-                idx += 1
-    else:
-        out = np.asarray(entries).reshape((n, d), order="F")
-    if not np.all(np.isfinite(out)):
-        raise MatrixMarketError("non-finite value in array data", line_no)
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+        if symmetric and i != j:
+            rows.append(j - 1)
+            cols.append(i - 1)
+            vals.append(v)
+    if seen != nnz[0]:
+        raise MatrixMarketError(f"declared nnz={nnz[0]} but found {seen} entries", line_no)
+    # np.unique sorts the keys, so the first duplicate is the first in row-major order
+    keys, counts = np.unique(np.asarray(rows, dtype=np.int64) * d + cols, return_counts=True)
+    if np.any(counts > 1):
+        r, c = divmod(int(keys[np.argmax(counts > 1)]), d)
+        raise MatrixMarketError(f"duplicate entry at ({r}, {c})", line_no)
+    out = np.zeros((n, d))
+    out[rows, cols] = vals
     return out
 
 

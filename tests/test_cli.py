@@ -433,6 +433,29 @@ def test_coordinate_and_array_files_give_the_same_rows(tmp_path):
     assert len(outs[0]) == 8 and outs[0] == outs[1]
 
 
+def test_matrix_market_size_below_one_exits_2_before_the_output_opens(tmp_path, capsys):
+    mtx = tmp_path / "empty.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n4 0\n")
+    out = tmp_path / "x.csv"
+    cfg = _write_sweep_cfg(tmp_path, input=str(mtx))
+    assert main(["distortion-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert ("line 2: bad size line ['4', '0']: rows and cols must be >= 1, nnz >= 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["distortion-sweep", "lowrank-sweep", "lsq-bench"])
+def test_gamma_method_with_subset_rows_exits_2_before_the_output_opens(tmp_path, capsys,
+                                                                       command):
+    out = tmp_path / "x.csv"
+    cfg = _write_sweep_cfg(tmp_path, input="gen:gaussian:200x10", k="4", row_mode="subset",
+                           methods="graph:s=2,graph:s=2:gamma=4", m_values="40")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert ("graph:s=2:gamma=4: gamma-wise hashing is only defined for row_mode='block'"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["distortion-sweep", "lsq-bench"])
 def test_wide_input_exits_4_before_the_output_opens(tmp_path, capsys, command):
     out = tmp_path / "x.csv"

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,44 @@ def test_read_array_is_column_major():
     m = read_matrix_market(io.StringIO(ARRAY))
     assert isinstance(m, np.ndarray)
     np.testing.assert_array_equal(m, np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+
+# a symmetric 3x3 matrix, its lower triangle in column-major order, and all of it
+_SYM = np.array([[1.5, -2.0, 0.25], [-2.0, 3.0, 7.0], [0.25, 7.0, -1e-300]])
+_SYM_LOWER = [(i, j) for j in range(3) for i in range(j, 3)]
+
+
+def test_read_symmetric_array_matches_general_array_and_symmetric_coordinate():
+    sym_array = ("%%MatrixMarket matrix array real symmetric\n% lower triangle\n3 3\n"
+                 + "".join(f"{float(_SYM[i, j])!r}\n" for i, j in _SYM_LOWER))
+    general_array = ("%%MatrixMarket matrix array real general\n3 3\n"
+                     + "".join(f"{float(_SYM[i, j])!r}\n" for j in range(3) for i in range(3)))
+    sym_coordinate = ("%%MatrixMarket matrix coordinate real symmetric\n3 3 6\n"
+                      + "".join(f"{i + 1} {j + 1} {float(_SYM[i, j])!r}\n" for i, j in _SYM_LOWER))
+    for text in (sym_array, general_array, sym_coordinate):
+        np.testing.assert_array_equal(read_matrix_market(io.StringIO(text)), _SYM)
+
+
+def test_read_symmetric_array_rejects_one_value_too_many():
+    text = ("%%MatrixMarket matrix array real symmetric\n3 3\n"
+            + "".join(f"{float(_SYM[i, j])!r}\n" for i, j in _SYM_LOWER) + "9.0\n")
+    with pytest.raises(MatrixMarketError, match=r"^line 9: expected 6 array entries, found 7$"):
+        read_matrix_market(io.StringIO(text))
+
+
+@pytest.mark.parametrize("variant, size", [
+    ("coordinate", "-2 3 0"),
+    ("coordinate", "3 0 0"),
+    ("array", "0 3"),
+    ("coordinate", "3 3 -1"),
+])
+def test_read_rejects_a_size_below_one_or_a_negative_nnz_at_the_size_line(variant, size):
+    text = f"%%MatrixMarket matrix {variant} real general\n% a comment\n{size}\n"
+    fields = re.escape(str(size.split()))
+    with pytest.raises(MatrixMarketError, match=(
+            rf"^line 3: bad size line {fields}: rows and cols must be >= 1, nnz >= 0$")) as err:
+        read_matrix_market(io.StringIO(text))
+    assert err.value.line_no == 3
 
 
 def test_read_symmetric_coordinate_mirrors():
