@@ -13,7 +13,10 @@ workload reads a file either, so it writes four small MatrixMarket files
 into its temporary directory (coordinate and array, general and
 symmetric; with numpy and f-strings, not the reader under test) and runs
 ``distortion-sweep`` on each, through the same absolute path at both
-trees so the ``dataset`` column matches.  It compares CSV columns 1-14
+trees so the ``dataset`` column matches.  Every workload's ``magical-delta``
+runs at s = 2, so it also writes configs at s = 1, 3 and 4 and runs those,
+which puts the block-row draw under the byte check at every degree up to
+4.  It compares CSV columns 1-14
 (every column but ``wall_time_ms``) and any witness file byte for byte,
 prints one line per (step, threads, seed), and exits 1 if any run fails or
 any output differs.  Run it from anywhere inside the checkout.
@@ -76,6 +79,18 @@ def matrix_market_steps(tmp: Path) -> list[tuple[str, Step]]:
     return steps
 
 
+def magical_delta_steps(tmp: Path) -> list[tuple[str, Step]]:
+    """One magical-delta step at each degree s in {1, 3, 4}, on configs
+    written here (n = 300, k = 12, 200 trials), at sizes m where the failure
+    rate is neither 0 nor 1, so that the rows depend on the drawn rows."""
+    steps = []
+    for s, m_values in ((1, "48,96"), (3, "12,15"), (4, "12")):
+        cfg = tmp / f"magical-delta-s{s}.cfg"
+        cfg.write_text(f"n = 300\ns = {s}\nk = 12\nm_values = {m_values}\ntrials = 200\n")
+        steps.append((f"magical-delta-s{s}", Step("magical-delta", str(cfg), None, 1)))
+    return steps
+
+
 def extract(base: str, dest: Path) -> None:
     """``git archive BASE | tar -x -C dest``."""
     dest.mkdir()
@@ -114,6 +129,7 @@ def main(argv=None) -> int:
         steps = [(wl.name, step) for wl in WORKLOADS.values() for step in wl.steps]
         steps += [("witness", step) for step in WITNESS_STEPS]
         steps += matrix_market_steps(Path(tmp))
+        steps += magical_delta_steps(Path(tmp))
         for wl_name, step in steps:
             for seed in SEEDS:
                 name = f"{wl_name}.{step.command}.t{step.threads}.seed{seed}.csv"

@@ -16,7 +16,8 @@ checked exactly here, at sizes where exactness is affordable:
 samples fresh block-mode degree-s sketches and uniform k-subsets of columns
 and reports how often matching coverage fails.  It splits all trials'
 streams as arrays, draws all their subsets in one call, and builds only the
-rows of the k chosen columns, from all trials' row streams drawn together.
+rows of the k chosen columns, through the block-row draw of ``sketch``
+(the one ``graph_sketch_new`` uses) on all trials' row streams at once.
 That failure frequency is the empirical stand-in for the per-subset failure
 probability the s=2 construction is supposed to keep at O(1/k) once m is a
 constant multiple of k.
@@ -30,8 +31,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .rng import Prng, _draws_below, _split_seeds, _subsets
-from .sketch import _ROW_STREAM, _block_height, _block_rows
+from .rng import Prng, _split_seeds, _subsets
+from .sketch import _ROW_STREAM, _block_height, _block_mode_rows
 
 EXPANSION_BUDGET = 10_000_000
 _PAIR_CHUNK = 1 << 20  # pair codes held at once by the size-2 count
@@ -212,23 +213,19 @@ def estimate_magical_delta(
     rng.split(t))`` and the subset ``rng.split(t).subset(n, k)``, but all
     trials are drawn together: their seeds by ``_split_seeds``, their subsets
     by one ``_subsets`` call, and the rows of only each subset's k columns
-    from all trials' row streams (``_draws_below``).  The matching check runs
-    on the k-vertex graph those columns span.  No signs are drawn.  This
+    from all trials' row streams (``_block_mode_rows``).  The matching check
+    runs on the k-vertex graph those columns span.  No signs are drawn.  This
     estimates the failure probability delta of Definition-2 style coverage;
     it samples subsets rather than quantifying over all of them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    block = _block_height(n, m, s)
+    _block_height(n, m, s)  # n, m and s are checked before k
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     trial_seeds = _split_seeds(rng.seed, np.arange(trials))
-    seeds = _split_seeds(trial_seeds, _ROW_STREAM)
     cols = _subsets(trial_seeds, 0, n, k, 1)[0][:, 0]
-    # column j's i-th row hash is draw i·n + j of its trial's row stream
-    picks = (np.arange(s)[:, None] * n + cols[:, None, :]).reshape(trials, s * k)
-    h, _ = _draws_below(seeds, 0, block, s * n, picks)
-    rows = _block_rows(h.reshape(trials, s, k).transpose(0, 2, 1), m)
+    rows = _block_mode_rows(_split_seeds(trial_seeds, _ROW_STREAM), n, m, s, cols)
     failures = sum(not max_matching_covers(BipartiteGraph(k, m, s, adjacency=adj), range(k))
                    for adj in rows)
     return failures / trials

@@ -32,6 +32,8 @@ Algorithm choices, pinned for reproducibility:
   with the rank check; its ``solve(b)`` prescales b by its own power of two
   in the same way, forms Q^T b and back-substitutes, so the solution is
   right at any input scale too.  ``lstsq_exact(a, b)`` is the two in a row.
+* ``numerical_rank``: the one rank rule, the count of |values| above
+  ``RANK_TOL`` times the largest; every full-rank check in the package calls it.
 
 The signs of V's columns are not normalized: each is the one the rotations
 leave, the same for the same input.  Every caller reads V only where a
@@ -49,13 +51,14 @@ import numpy as np
 
 JACOBI_SWEEP_CAP = 60
 _JACOBI_TOL = 1e-14
-# full column rank: smallest R diagonal or singular value above this times the largest
+# numerical_rank counts the entries above this times the largest
 RANK_TOL = 1e-10
 
 __all__ = [
     "ConvergenceError",
     "RankDeficiencyError",
     "SvdResult",
+    "numerical_rank",
     "thin_qr",
     "svd",
     "singular_values",
@@ -63,6 +66,12 @@ __all__ = [
     "lstsq_factor",
     "lstsq_exact",
 ]
+
+
+def numerical_rank(values) -> int:
+    """Entries of |values| above ``RANK_TOL`` times the largest; a NaN makes that NaN, so 0."""
+    mags = np.abs(np.asarray(values, dtype=np.float64))
+    return int(np.sum(mags > RANK_TOL * mags.max(initial=0.0)))
 
 
 class ConvergenceError(RuntimeError):
@@ -320,7 +329,7 @@ def lstsq_factor(a) -> LstsqFactor:
         raise RankDeficiencyError(f"full column rank needs n >= d, got {n}x{d}")
     q, r, e = _householder_qr(a, form_q=True)
     diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= RANK_TOL * diag.max():
+    if numerical_rank(diag) < d:
         raise RankDeficiencyError(
             f"{n}x{d} input: R diagonal range [{diag.min():.3e}, {diag.max():.3e}] "
             "indicates rank deficiency"

@@ -13,12 +13,13 @@ coordinate entries are written into a zero matrix.  Duplicate coordinate
 entries are a hard parse error, not summed; an explicit zero is counted
 against the declared nnz and otherwise skipped.  Every parse error is a
 ``MatrixMarketError`` naming its line.  Writing produces the array variant
-with ``repr`` floats, so a read-back reproduces values bit-exactly.
+with ``repr`` floats, so a read-back reproduces values bit-exactly.  Both
+take a path or a text stream; a binary stream is never wrapped (a wrapper
+would close it when collected), so it fails with a typed error.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from pathlib import Path
 
@@ -44,14 +45,11 @@ class MatrixMarketError(ValueError):
 def _open_text(source, mode: str):
     if isinstance(source, (str, Path)):
         return open(source, mode), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary stream: wrap
-    return io.TextIOWrapper(source, encoding="ascii"), False
+    return source, False
 
 
 def read_matrix_market(source):
-    """Parse a MatrixMarket file or stream (coordinate or array) into a dense array."""
+    """Parse a MatrixMarket file or text stream (coordinate or array) into a dense array."""
     fh, owned = _open_text(source, "r")
     try:
         return _parse_mm(fh)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, RankDeficiencyError, singular_values, svd
+from .linalg import RANK_TOL, RankDeficiencyError, numerical_rank, singular_values, svd
 from .rng import Prng
 from .sketch import SketchOperator, sketch_apply
 
@@ -36,7 +36,6 @@ class DistortionResult:
     eta: float
     sigma_min: float
     sigma_max: float
-    method: str  # "definition" or "basis"
 
 
 def _fro(a: np.ndarray) -> float:
@@ -46,9 +45,9 @@ def _fro(a: np.ndarray) -> float:
 def distortion(a, a_sketched) -> DistortionResult:
     """Distortion by the defining formula; raises on rank-deficient A.
 
-    Full column rank means at least as many rows as columns and a smallest
-    singular value of A above 1e-10 times the largest; the inverse square
-    root (AᵀA)^{-1/2} then exists.
+    Full column rank means at least as many rows as columns and a
+    ``numerical_rank`` of A's singular values equal to d (each above 1e-10
+    times the largest); the inverse square root (AᵀA)^{-1/2} then exists.
     """
     a = np.asarray(a, dtype=np.float64)
     at = np.asarray(a_sketched, dtype=np.float64)
@@ -61,7 +60,7 @@ def distortion(a, a_sketched) -> DistortionResult:
         raise RankDeficiencyError(f"A is {n}x{d}: fewer rows than columns")
     res = svd(a)
     sig_a = res.singular_values
-    if sig_a[-1] <= RANK_TOL * sig_a[0]:
+    if numerical_rank(sig_a) < d:
         raise RankDeficiencyError(
             f"singular-value ratio {sig_a[-1]:.3e}/{sig_a[0]:.3e} below {RANK_TOL:.0e}"
         )
@@ -70,10 +69,7 @@ def distortion(a, a_sketched) -> DistortionResult:
     eta = singular_values(np.eye(d) - w @ gram @ w)[0]
     sig_su = singular_values(at @ w)
     return DistortionResult(
-        eta=float(eta),
-        sigma_min=float(sig_su[-1]),
-        sigma_max=float(sig_su[0]),
-        method="definition",
+        eta=float(eta), sigma_min=float(sig_su[-1]), sigma_max=float(sig_su[0])
     )
 
 
@@ -93,13 +89,11 @@ def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
     _check_orthonormal(u)
     d = u.shape[1]
     if d == 0:
-        return DistortionResult(eta=0.0, sigma_min=1.0, sigma_max=1.0, method="basis")
+        return DistortionResult(eta=0.0, sigma_min=1.0, sigma_max=1.0)
     sig = singular_values(sketch_apply(op, u))
     sig = np.concatenate([sig, np.zeros(d - len(sig))])
     eta = float(np.max(np.abs(1.0 - sig**2)))
-    return DistortionResult(
-        eta=eta, sigma_min=float(sig[-1]), sigma_max=float(sig[0]), method="basis"
-    )
+    return DistortionResult(eta=eta, sigma_min=float(sig[-1]), sigma_max=float(sig[0]))
 
 
 def _check_unit(x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, LstsqFactor, lstsq_exact, singular_values, svd, thin_qr
+from .linalg import LstsqFactor, lstsq_exact, numerical_rank, singular_values, svd, thin_qr
 from .sketch import SketchOperator, sketch_apply
 
 _ZERO_REL = 1e-10
@@ -43,7 +43,6 @@ class LsqResult:
 class LowRankResult:
     V_k: np.ndarray
     sketch_error: float
-    optimal_error: float
     ratio: float
     rank_deficient: bool = False
 
@@ -123,8 +122,7 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
         # thin QR of the d x m transpose does not exist; the d x d Gram
         # product spans the same row space and caps the basis at d
         q, r = thin_qr(y.T @ y)
-    diag = np.abs(np.diag(r))
-    rank_deficient = bool(diag.max() == 0.0 or np.sum(diag > RANK_TOL * diag.max()) < k)
+    rank_deficient = numerical_rank(np.diag(r)) < k
     b = a @ q
     w_k = svd(b).V[:, :k]
     v_k = q @ w_k
@@ -133,7 +131,6 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
     return LowRankResult(
         V_k=v_k,
         sketch_error=err,
-        optimal_error=optimal_error,
         ratio=_ratio(err, optimal_error, _norm(a)),
         rank_deficient=rank_deficient,
     )

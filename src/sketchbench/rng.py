@@ -160,8 +160,8 @@ def _splitmix(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     """
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    # the counters become the states, then the outputs; one stream (raw may
-    # draw millions) stays in place
+    # the counters become the states, then the outputs; one stream stays in
+    # place, which saves a block of memory (a copy raised lsq-bench peak RSS)
     if len(seeds) == 1:
         z += seeds
         z = z[None, :]

@@ -21,9 +21,9 @@ parent stream has advanced); operators keep no copy of it.  Without
 ``gamma``, h_i(j) is draw i·n + j below m/s of the row stream.  With
 ``gamma`` set, both streams seed gamma-wise independent polynomial hashes
 instead of being consumed per entry; this is only defined for the block row
-rule.  The stream ids, the shape checks and the block rule (``_block_rows``)
-are declared here once; ``graphs.estimate_magical_delta`` builds its rows
-for only the columns it checks from the same three.
+rule.  The stream ids, the shape checks and the block-row draw
+(``_block_mode_rows``) are declared here once; ``graphs`` calls that draw
+on all its trials' row streams, for only the columns it checks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import KwiseHash, Prng, _subsets
+from .rng import KwiseHash, Prng, _draws_below, _subsets
 
 _ROW_STREAM = 1
 _SIGN_STREAM = 2
@@ -77,10 +77,13 @@ def _block_height(n: int, m: int, s: int) -> int:
     return m // s
 
 
-def _block_rows(h: np.ndarray, m: int) -> np.ndarray:
-    """The block rule: h[..., i] in [0, m/s) becomes row i·(m/s) + h[..., i]."""
-    s = h.shape[-1]
-    return h + np.arange(s) * (m // s)
+def _block_mode_rows(row_seeds: np.ndarray, n: int, m: int, s: int, cols) -> np.ndarray:
+    """Block-rule rows of columns ``cols[r]`` (k of n) on the row stream ``row_seeds[r]``:
+    column j's i-th row is i·(m/s) + h, h the draw i·n + j below m/s of that
+    fresh stream.  Returns a (streams, k, s) int64 array."""
+    picks = (np.arange(s)[:, None] * n + cols[:, None, :]).reshape(len(cols), -1)
+    h, _ = _draws_below(row_seeds, 0, m // s, s * n, picks)
+    return h.reshape(len(cols), s, -1).transpose(0, 2, 1) + np.arange(s) * (m // s)
 
 
 def graph_sketch_new(
@@ -109,15 +112,16 @@ def graph_sketch_new(
     if row_mode == "block":
         block = _block_height(n, m, s)
         if gamma is None:
-            h = rows_rng.integers_below(block, s * n).reshape(s, n).T
+            seeds = np.array([rows_rng.seed], dtype=np.uint64)
+            rows = _block_mode_rows(seeds, n, m, s, np.arange(n)[None, :])[0]
             signs = signs_rng.signs(n * s).reshape(n, s)
         else:
             cols = np.arange(n)
             h = np.stack([KwiseHash.sample(gamma, block, rows_rng).eval_many(cols)
                           for _ in range(s)], axis=1)
+            rows = h + np.arange(s) * block
             signs = 1.0 - 2.0 * np.stack([KwiseHash.sample(gamma, 2, signs_rng).eval_many(cols)
                                           for _ in range(s)], axis=1)
-        rows = _block_rows(h, m)
     else:
         if gamma is not None:
             raise ValueError("gamma-wise hashing is only defined for row_mode='block'")
@@ -128,8 +132,7 @@ def graph_sketch_new(
 
 def gaussian_sketch_new(n: int, m: int, rng: Prng) -> GaussianSketch:
     """Dense m x n sketch with i.i.d. N(0, 1/m) entries."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
+    _check_degree(n, m, 1)
     entries = rng.split(_ROW_STREAM).normal(m * n).reshape((m, n), order="F")
     entries /= math.sqrt(m)
     return GaussianSketch(m=m, n=n, entries=entries)

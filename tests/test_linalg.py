@@ -13,6 +13,8 @@ from sketchbench.linalg import (
     RankDeficiencyError,
     SvdResult,
     lstsq_exact,
+    lstsq_factor,
+    numerical_rank,
     singular_values,
     svd,
     thin_qr,
@@ -404,6 +406,29 @@ def test_lstsq_rank_deficient_raises():
     a[:, 2] = a[:, 0] + a[:, 1]
     with pytest.raises(RankDeficiencyError):
         lstsq_exact(a, Prng(49).normal(20))
+
+
+def test_lstsq_factor_rejects_an_infinite_entry():
+    # the R diagonal comes out [5.34, 3.81, nan, nan]; a NaN is no full rank
+    a = gen_gaussian(20, 4, Prng(48))
+    a[5, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(RankDeficiencyError,
+                                                      match="indicates rank deficiency"):
+        lstsq_factor(a)
+
+
+def test_numerical_rank_counts_entries_strictly_above_the_threshold():
+    assert numerical_rank(np.zeros(5)) == 0
+    assert numerical_rank([1.0, 1e-10]) == 1  # exactly RANK_TOL times the largest
+    assert numerical_rank([1.0, 2e-10]) == 2
+    assert numerical_rank([-2e-10, 1.0, -3.0]) == 2  # magnitudes, in any order
+    assert numerical_rank([]) == 0
+
+
+def test_numerical_rank_counts_no_nan_entry():
+    assert numerical_rank([np.nan, np.nan]) == 0
+    # a NaN makes the largest entry NaN, so the finite ones do not count either
+    assert numerical_rank([1.0, np.nan, 0.5]) == 0
 
 
 def test_lstsq_rejects_wide_and_bad_b():

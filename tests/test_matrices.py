@@ -1,3 +1,4 @@
+import gc
 import io
 import re
 
@@ -35,6 +36,18 @@ ARRAY = """%%MatrixMarket matrix array real general
 3.0
 4.0
 """
+
+
+def test_binary_streams_are_refused_and_left_open():
+    # a text wrapper around the caller's stream would close it when collected
+    source = io.BytesIO(ARRAY.encode("ascii"))
+    with pytest.raises(MatrixMarketError, match="line 1"):
+        read_matrix_market(source)
+    dest = io.BytesIO()
+    with pytest.raises(TypeError):
+        write_matrix_market(np.eye(2), dest)
+    gc.collect()
+    assert not source.closed and not dest.closed
 
 
 def test_read_coordinate():

@@ -44,7 +44,6 @@ def identity_operator(n):
 def test_distortion_identity_sketch_is_zero():
     a = gen_gaussian(50, 6, Prng(110))
     res = distortion(a, a)
-    assert res.method == "definition"
     assert res.eta <= 1e-8
 
 
@@ -58,6 +57,15 @@ def test_distortion_rejects_rank_deficient():
     a = gen_gaussian(30, 4, Prng(112))
     a[:, 3] = a[:, 0]
     with pytest.raises(RankDeficiencyError):
+        distortion(a, a)
+
+
+def test_distortion_rejects_an_infinite_entry():
+    # A's singular values come out NaN, which no full rank allows
+    a = gen_gaussian(20, 4, Prng(48))
+    a[5, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(RankDeficiencyError,
+                                                      match="singular-value ratio"):
         distortion(a, a)
 
 
@@ -91,7 +99,6 @@ def test_distortion_scale_invariance():
 def test_basis_identity_zero():
     u, _ = thin_qr(gen_gaussian(30, 4, Prng(115)))
     res = distortion_via_basis(u, identity_operator(30))
-    assert res.method == "basis"
     assert res.eta <= 1e-10
 
 

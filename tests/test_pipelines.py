@@ -163,10 +163,11 @@ def test_lowrank_k_equals_d():
 def test_lowrank_orthonormal_and_floor():
     a = gen_low_rank_plus_noise(120, 40, 6, 0.05, Prng(161))
     k = 6
-    res = lowrank_approx(a, k, graph_sketch_new(120, 24, 2, Prng(162)), best_rank_k_error(a, k))
+    optimal = best_rank_k_error(a, k)
+    res = lowrank_approx(a, k, graph_sketch_new(120, 24, 2, Prng(162)), optimal)
     assert res.V_k.shape == (40, k)
     assert fro(res.V_k.T @ res.V_k - np.eye(k)) < 1e-10
-    assert res.sketch_error >= res.optimal_error - 1e-8 * fro(a)
+    assert res.sketch_error >= optimal - 1e-8 * fro(a)
     assert res.ratio >= 1.0 - 1e-8
     proj = res.V_k @ res.V_k.T
     assert fro(proj @ proj - proj) < 1e-10

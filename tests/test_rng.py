@@ -137,32 +137,38 @@ def test_subset_rejects_bad_k():
         Prng(11).subset(5, 6)
 
 
+def _next_draw(rng):
+    """The stream's next output by the scalar ``mix64``, not the array kernel:
+    output c of seed z is mix64(z + c * GOLDEN)."""
+    rng.counter += 1
+    return mix64((rng.seed + rng.counter * GOLDEN) & MASK64)
+
+
+def _below_reference(rng, bound):
+    """One value below ``bound`` by bitmask rejection, one raw draw at a
+    time; bound 1 draws nothing."""
+    mask = (1 << (bound - 1).bit_length()) - 1
+    while bound > 1:
+        cand = _next_draw(rng) & mask
+        if cand < bound:
+            return cand
+    return 0
+
+
 def _integers_below_reference(rng, bound, n):
-    """The round loop that ``integers_below`` replaced: each round draws
-    exactly the values still needed, so the counter ends on the n-th
-    accepted draw."""
-    if bound == 1:
-        return np.zeros(n, dtype=np.int64)
-    mask = np.uint64((1 << (bound - 1).bit_length()) - 1)
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        need = n - filled
-        cand = (rng.raw(need) & mask).astype(np.int64)
-        good = cand[cand < bound]
-        out[filled:filled + len(good)] = good
-        filled += len(good)
-    return out
+    """``integers_below(bound, n)`` drawn one value at a time, so the counter
+    ends on the n-th accepted draw."""
+    return np.array([_below_reference(rng, bound) for _ in range(n)], dtype=np.int64)
 
 
 def _subset_reference(rng, n, k):
     """The partial Fisher-Yates loop that ``subset`` replaced, one bounded
     draw per step."""
-    pool = np.arange(n, dtype=np.int64)
+    pool = list(range(n))
     for i in range(k):
-        j = i + int(_integers_below_reference(rng, n - i, 1)[0])
+        j = i + _below_reference(rng, n - i)
         pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    return np.array(pool[:k], dtype=np.int64)
 
 
 def _assert_same_draws(draw, reference, seed):

@@ -48,6 +48,17 @@ def test_block_construction_row_ranges(s):
         assert np.all(col < (i + 1) * block)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_block_rows_are_row_stream_draws_offset_by_their_block(s):
+    # column j's i-th row is i·(m/s) + h[i·n + j], h the row stream's draws below m/s
+    n, m = 50, 12 * s
+    block = m // s
+    h = Prng(54).split(_ROW_STREAM).integers_below(block, s * n)
+    rows = graph_sketch_new(n, m, s, Prng(54)).rows_per_column
+    want = [[i * block + h[i * n + j] for i in range(s)] for j in range(n)]
+    np.testing.assert_array_equal(rows, want)
+
+
 def test_graph_sketch_requires_divisibility():
     with pytest.raises(ValueError, match="divisible"):
         graph_sketch_new(10, 7, 2, Prng(52))
