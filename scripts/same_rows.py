@@ -16,7 +16,9 @@ symmetric; with numpy and f-strings, not the reader under test) and runs
 trees so the ``dataset`` column matches.  Every workload's ``magical-delta``
 runs at s = 2, so it also writes configs at s = 1, 3 and 4 and runs those,
 which puts the block-row draw under the byte check at every degree up to
-4.  It compares CSV columns 1-14
+4.  Every workload's ``lowrank-sweep`` has m <= d, so it also runs one at
+m = 12 and 48 on a 200 x 24 input, where m > d takes the Gram-product
+branch of ``lowrank_approx``.  It compares CSV columns 1-14
 (every column but ``wall_time_ms``) and any witness file byte for byte,
 prints one line per (step, threads, seed), and exits 1 if any run fails or
 any output differs.  Run it from anywhere inside the checkout.
@@ -91,6 +93,15 @@ def magical_delta_steps(tmp: Path) -> list[tuple[str, Step]]:
     return steps
 
 
+def lowrank_steps(tmp: Path) -> list[tuple[str, Step]]:
+    """One lowrank-sweep step with one m on each side of d = 24, on a config
+    written here: at m = 48 > d the basis comes from the QR of YᵀY."""
+    cfg = tmp / "lowrank-m-past-d.cfg"
+    cfg.write_text("input = gen:lowrank:200x24:4:0.01\nmethods = graph:s=2,gaussian\n"
+                   "k = 4\nm_values = 12,48\ntrials = 2\n")
+    return [("lowrank-m-past-d", Step("lowrank-sweep", str(cfg), None, 1))]
+
+
 def extract(base: str, dest: Path) -> None:
     """``git archive BASE | tar -x -C dest``."""
     dest.mkdir()
@@ -130,6 +141,7 @@ def main(argv=None) -> int:
         steps += [("witness", step) for step in WITNESS_STEPS]
         steps += matrix_market_steps(Path(tmp))
         steps += magical_delta_steps(Path(tmp))
+        steps += lowrank_steps(Path(tmp))
         for wl_name, step in steps:
             for seed in SEEDS:
                 name = f"{wl_name}.{step.command}.t{step.threads}.seed{seed}.csv"

@@ -169,6 +169,8 @@ def parse_method(spec: str) -> MethodSpec:
         if "=" not in part:
             raise ConfigError(f"method option {part!r} in {spec!r} must be key=value")
         key, val = part.split("=", 1)
+        if key in opts:
+            raise ConfigError(f"method option {key!r} repeated in {spec!r}")
         opts[key] = val
     if name == "gaussian":
         if opts:

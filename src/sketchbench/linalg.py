@@ -12,16 +12,16 @@ Algorithm choices, pinned for reproducibility:
   and R is multiplied back at the end; the scaling is exact, and it keeps
   the squared norms inside the float64 range for any input scale.  One
   private Householder core does this prescale for every routine here, and
-  forms Q only for ``thin_qr``, ``lstsq_exact`` and a wide input to ``svd``.
-* ``svd`` and ``singular_values``: one-sided Jacobi rotations after that
-  QR, so the rotation phase always runs on a square min(n,d) matrix.  A
-  tall input is factored as R alone, never Q; ``svd`` accumulates V from
-  the rotations of R's columns and forms no U.  A wide input A is factored
-  through Aᵀ = QR: Jacobi on the square Rᵀ accumulates an orthogonal V',
-  and V = Q V'.  A sweep visits the column pairs in round-robin order
-  (Brent & Luk 1985): d - 1 rounds of d/2 disjoint pairs, or d rounds with
-  one column sitting out each round when d is odd, so a whole round is
-  rotated at once by array operations.
+  forms Q only for ``thin_qr`` and ``lstsq_factor``.
+* ``svd`` and ``singular_values``: one private spectrum driver runs
+  one-sided Jacobi rotations on the R of that QR (R alone, never Q), so the
+  rotation phase always runs on a square d x d matrix.  ``svd`` takes
+  n >= d, accumulates V from the rotations of R's columns and forms no U;
+  ``singular_values`` also takes a wide input, through its transpose.  A
+  sweep visits the column pairs in round-robin order (Brent & Luk 1985):
+  d - 1 rounds of d/2 disjoint pairs, or d rounds with one column sitting
+  out each round when d is odd, so a whole round is rotated at once by
+  array operations.
   Column norms are tracked with the Rutishauser update and refreshed once
   per sweep.  Sweeps are capped at 60; hitting the cap raises
   ConvergenceError carrying the worst remaining off-diagonal ratio.  This
@@ -90,9 +90,9 @@ class RankDeficiencyError(ValueError):
 class SvdResult:
     """Singular values and right singular vectors: A V = U diag(singular_values).
 
-    V is d x r with orthonormal columns, r = min(n, d), singular values
-    descending and nonnegative.  U is not formed, and the column signs of V
-    are not normalized.
+    For an n x d input with n >= d: V is d x d and orthogonal, singular
+    values descending and nonnegative.  U is not formed, and the column
+    signs of V are not normalized.
     """
 
     singular_values: np.ndarray
@@ -121,7 +121,7 @@ def _prescale(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _householder_qr(a, form_q: bool) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """The reduced QR that thin_qr, svd, singular_values and lstsq_exact share.
+    """The reduced QR of an n x d matrix, n >= d, that every routine here shares.
 
     Prescales a by 2**e (``_prescale``) and returns (q, r, e): a = 2**e q r,
     with r upper triangular with nonnegative diagonal, and q None unless
@@ -131,7 +131,7 @@ def _householder_qr(a, form_q: bool) -> tuple[np.ndarray | None, np.ndarray, int
     a = _as_matrix(a)
     n, d = a.shape
     if n < d:
-        raise ValueError(f"thin_qr needs n >= d, got {n}x{d}")
+        raise ValueError(f"QR factorization needs n >= d, got {n}x{d}")
     r, e = _prescale(a)
     reflectors: list[np.ndarray | None] = []
     for k in range(d):
@@ -262,33 +262,32 @@ def _one_sided_jacobi(w: np.ndarray, accumulate_v: bool) -> np.ndarray | None:
     )
 
 
-def svd(a) -> SvdResult:
-    """Singular values and right singular vectors, min(n, d) of each.
+def _spectrum(a, accumulate_v: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(singular values descending, V or None) of an n x d matrix with n >= d.
 
-    Tall: Jacobi on R (no Q) with V accumulated.  Wide: Aᵀ = 2**e Q R, Jacobi
-    on Rᵀ with V' accumulated, and V = Q V'; V' is orthogonal, so every
-    column of V is a unit vector even where the singular value is 0.
+    Jacobi on R alone, no Q; the column norms are sorted by a stable
+    descending argsort, V's columns with them, and scaled back by 2**e.
     """
-    a = _as_matrix(a)
-    wide = a.shape[0] < a.shape[1]
-    q, w, e = _householder_qr(a.T if wide else a, form_q=wide)
-    if wide:
-        w = w.T
-    v = _one_sided_jacobi(w, accumulate_v=True)
+    _, w, e = _householder_qr(a, form_q=False)
+    v = _one_sided_jacobi(w, accumulate_v)
     sig = np.sqrt(np.sum(w * w, axis=0))
     order = np.argsort(-sig, kind="stable")
-    v = v[:, order]
-    return SvdResult(singular_values=np.ldexp(sig[order], e), V=q @ v if wide else v)
+    return np.ldexp(sig[order], e), None if v is None else v[:, order]
+
+
+def svd(a) -> SvdResult:
+    """Singular values and right singular vectors of an n x d matrix, n >= d.
+
+    A wide input raises ``ValueError``.
+    """
+    sig, v = _spectrum(a, accumulate_v=True)
+    return SvdResult(singular_values=sig, V=v)
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values only, descending; R alone, with no Q and no V."""
+    """Singular values only, descending, min(n, d) of them; a wide A goes through Aᵀ."""
     a = _as_matrix(a)
-    _, w, e = _householder_qr(a.T if a.shape[0] < a.shape[1] else a, form_q=False)
-    _one_sided_jacobi(w, accumulate_v=False)
-    sig = np.sqrt(np.sum(w * w, axis=0))
-    sig[::-1].sort()
-    return np.ldexp(sig, e)
+    return _spectrum(a.T if a.shape[0] < a.shape[1] else a, accumulate_v=False)[0]
 
 
 def _solve_upper(r: np.ndarray, y: np.ndarray) -> np.ndarray:

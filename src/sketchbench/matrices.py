@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import _as_matrix
 from .rng import Prng
 
 
@@ -164,7 +165,7 @@ def _parse_mm(fh):
 
 def write_matrix_market(m, dest) -> None:
     """Write a dense matrix as array/general, with ``repr`` values so read-back is bit-exact."""
-    a = np.asarray(m, dtype=np.float64)
+    a = _as_matrix(m)
     n, d = a.shape
     fh, owned = _open_text(dest, "w")
     try:

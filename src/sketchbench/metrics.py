@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, RankDeficiencyError, numerical_rank, singular_values, svd
+from .linalg import (RANK_TOL, RankDeficiencyError, _as_matrix, _norm, numerical_rank,
+                     singular_values, svd)
 from .rng import Prng
 from .sketch import SketchOperator, sketch_apply
 
@@ -38,10 +39,6 @@ class DistortionResult:
     sigma_max: float
 
 
-def _fro(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a)))
-
-
 def distortion(a, a_sketched) -> DistortionResult:
     """Distortion by the defining formula; raises on rank-deficient A.
 
@@ -49,9 +46,9 @@ def distortion(a, a_sketched) -> DistortionResult:
     ``numerical_rank`` of A's singular values equal to d (each above 1e-10
     times the largest); the inverse square root (AᵀA)^{-1/2} then exists.
     """
-    a = np.asarray(a, dtype=np.float64)
-    at = np.asarray(a_sketched, dtype=np.float64)
-    if a.ndim != 2 or at.ndim != 2 or a.shape[1] != at.shape[1]:
+    a = _as_matrix(a)
+    at = _as_matrix(a_sketched)
+    if a.shape[1] != at.shape[1]:
         raise ValueError(
             f"need matrices with equal column counts, got {a.shape} and {at.shape}"
         )
@@ -75,7 +72,7 @@ def distortion(a, a_sketched) -> DistortionResult:
 
 def _check_orthonormal(u: np.ndarray) -> None:
     k = u.shape[1]
-    if k and _fro(u.T @ u - np.eye(k)) > _UNIT_TOL:
+    if k and _norm(u.T @ u - np.eye(k)) > _UNIT_TOL:
         raise ValueError("U does not have orthonormal columns within 1e-10")
 
 
@@ -85,7 +82,7 @@ def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
     With fewer sketch rows than d, S @ U has d - m structural zeros that the
     factorization does not return; they are counted here, so sigma_min is 0.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _as_matrix(u)
     _check_orthonormal(u)
     d = u.shape[1]
     if d == 0:
@@ -100,7 +97,7 @@ def _check_unit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"x must be a vector, got shape {x.shape}")
-    nrm = float(np.sqrt(np.sum(x * x)))
+    nrm = _norm(x)
     if abs(nrm - 1.0) > _UNIT_TOL:
         raise ValueError(f"x must be a unit vector, got norm {nrm!r}")
     return x

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LstsqFactor, lstsq_exact, numerical_rank, singular_values, svd, thin_qr
+from .linalg import (LstsqFactor, _as_matrix, _norm, lstsq_exact, numerical_rank, singular_values,
+                     svd, thin_qr)
 from .sketch import SketchOperator, sketch_apply
 
 _ZERO_REL = 1e-10
@@ -47,10 +48,6 @@ class LowRankResult:
     rank_deficient: bool = False
 
 
-def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(x * x)))
-
-
 def _ratio(err: float, opt: float, scale: float) -> float:
     thr = _ZERO_REL * scale
     if err <= thr and opt <= thr:
@@ -66,7 +63,7 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor) -> LsqRes
     ``exact`` is ``lstsq_factor(a)``, the unsketched solve's factor, made
     once for any number of right sides.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or len(b) != a.shape[0]:
         raise ValueError(f"b must be a length-{a.shape[0]} vector, got shape {b.shape}")
@@ -86,12 +83,12 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor) -> LsqRes
 
 def best_rank_k_error(a, k: int) -> float:
     """Frobenius error of the optimal rank-k approximation: sqrt(sum of tail sigma^2)."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_matrix(a)
     r = min(a.shape)
     if not 1 <= k <= r:
         raise ValueError(f"k must be in [1, {r}], got {k}")
     sig = singular_values(a)
-    return float(np.sqrt(np.sum(sig[k:] ** 2)))
+    return _norm(sig[k:])
 
 
 def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRankResult:
@@ -106,7 +103,7 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
     signs of ``V_k`` are not normalized (see ``linalg``); the error and
     ratio do not depend on them.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_matrix(a)
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k must be in [1, {min(n, d)}], got {k}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _as_matrix
 from .rng import KwiseHash, Prng, _draws_below, _subsets
 
 _ROW_STREAM = 1
@@ -168,9 +169,7 @@ def sketch_apply(op: SketchOperator, a) -> np.ndarray:
     arithmetic cost is at most 2 s n d; Gaussian sketches use a dense
     matrix product.
     """
-    dense = np.asarray(a, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ValueError(f"expected a 2-D input, got shape {dense.shape}")
+    dense = _as_matrix(a)
     if dense.shape[0] != op.n:
         raise ValueError(f"operator expects {op.n} rows, got {dense.shape[0]}")
     if isinstance(op, GaussianSketch):

@@ -64,7 +64,8 @@ def test_parse_method_gaussian():
 
 @pytest.mark.parametrize(
     "spec",
-    ["nope", "graph:s=0", "graph:s=two", "graph:flip=1", "gaussian:s=2", "graph:s"],
+    ["nope", "graph:s=0", "graph:s=two", "graph:flip=1", "gaussian:s=2", "graph:s",
+     "graph:s=2:s=4", "graph:gamma=4:gamma=8"],
 )
 def test_parse_method_rejects(spec):
     with pytest.raises(ConfigError):

@@ -327,10 +327,10 @@ def test_split_seeds_is_split():
 
 
 def _normal_reference(rng, n):
-    """The unblocked Box-Muller that ``normal`` replaced: all 2 * pairs raw
-    draws at once, u1 from the first half and u2 from the second."""
+    """The unblocked Box-Muller that ``normal`` replaced: 2 * pairs draws by
+    the scalar ``_next_draw``, u1 from the first half and u2 from the second."""
     pairs = (n + 1) // 2
-    u = rng.raw(2 * pairs)
+    u = np.array([_next_draw(rng) for _ in range(2 * pairs)], dtype=np.uint64)
     u1 = ((u[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (u[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     r = np.sqrt(-2.0 * np.log(u1))
