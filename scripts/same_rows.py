@@ -21,12 +21,17 @@ m = 12 and 48 on a 200 x 24 input, where m > d takes the Gram-product
 branch of ``lowrank_approx``.  It compares CSV columns 1-14
 (every column but ``wall_time_ms``) and any witness file byte for byte,
 prints one line per (step, threads, seed), and exits 1 if any run fails or
-any output differs.  Run it from anywhere inside the checkout.
+any output differs.  When rows differ only in column 14, ``metric_value``,
+the line also gives the largest relative change of that column and the
+row where it occurs (its data-row number and columns 1-13), so a change
+that moves numerics on purpose can state its size.  Run it from anywhere
+inside the checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +131,26 @@ def run_step(tree: Path, step, seed: int, out: Path) -> tuple[int, list[str], by
             witness.read_bytes() if witness.exists() else None)
 
 
+def metric_change(rows_base: list[str], rows_work: list[str]) -> str:
+    """'; largest relative metric_value change R in row I: <columns 1-13>' when
+    the rows match in columns 1-13 and differ in column 14 only, else ''."""
+    split = [(a.rsplit(",", 1), b.rsplit(",", 1)) for a, b in zip(rows_base, rows_work)]
+    if len(rows_base) != len(rows_work) or any(a[0] != b[0] for a, b in split):
+        return ""
+    worst, where = 0.0, 0
+    for i, ((key, x), (_, y)) in enumerate(split[1:], start=1):
+        if x == y:
+            continue
+        try:
+            x, y = float(x), float(y)
+        except ValueError:
+            return ""
+        rel = abs(y - x) / abs(x) if x else math.inf
+        if not rel <= worst:
+            worst, where = rel, i
+    return f"; largest relative metric_value change {worst:.3g} in row {where}: {split[where][0][0]}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", nargs="?", default="HEAD", help="commit to compare against")
@@ -153,7 +178,8 @@ def main(argv=None) -> int:
                 elif rows_base != rows_work:
                     diff = sum(a != b for a, b in zip(rows_base, rows_work))
                     diff += abs(len(rows_base) - len(rows_work))
-                    verdict = f"DIFFERENT ({diff} of {len(rows_base) - 1} rows)"
+                    verdict = (f"DIFFERENT ({diff} of {len(rows_base) - 1} rows"
+                               f"{metric_change(rows_base, rows_work)})")
                 elif wit_base != wit_work:
                     verdict = "DIFFERENT (witness file)"
                 else:

@@ -1,4 +1,4 @@
-"""Dense factorization kernels: thin QR, SVD, and least squares.
+"""Dense factorization kernels: thin QR, SVD, Gram extremes, and least squares.
 
 Everything here is written against plain numpy array arithmetic; none of it
 calls ``numpy.linalg``, which the test suite keeps free to use as an
@@ -25,8 +25,19 @@ Algorithm choices, pinned for reproducibility:
   Column norms are tracked with the Rutishauser update and refreshed once
   per sweep.  Sweeps are capped at 60; hitting the cap raises
   ConvergenceError carrying the worst remaining off-diagonal ratio.  This
-  is the only rotation loop in the package: every spectrum, the spectral
-  norm included, comes from it.
+  is the only rotation loop in the package.
+* ``_gram_extremes``: the two extreme eigenvalues of xᵀx, for the
+  distortion of ``metrics.distortion_via_basis``, without a full spectrum.
+  It forms the smaller Gram matrix of the prescaled x (xᵀx, or x xᵀ when x
+  is wide, where λ_min is the structural 0), reduces it to tridiagonal form
+  by Householder steps, one matrix-vector product and one symmetric rank-2
+  update each, and bisects both ends of the spectrum by Sturm counts from
+  the Gershgorin interval, counting both shifts in one pass per step.  A
+  pivot that comes out 0 counts as -pivmin (the underflow threshold times
+  the largest squared off-diagonal, at least 1), as in LAPACK's bisection.
+  Each end stops when its interval's midpoint equals an endpoint, so the
+  result is the same for the same input and within an ulp of the computed
+  tridiagonal's eigenvalue.
 * ``lstsq_exact``: two steps, so a caller with many right sides for one A
   factors it once.  ``lstsq_factor(a)`` is the thin QR of A, Q included,
   with the rank check; its ``solve(b)`` prescales b by its own power of two
@@ -288,6 +299,61 @@ def singular_values(a) -> np.ndarray:
     """Singular values only, descending, min(n, d) of them; a wide A goes through Aᵀ."""
     a = _as_matrix(a)
     return _spectrum(a.T if a.shape[0] < a.shape[1] else a, accumulate_v=False)[0]
+
+
+def _gram_extremes(x) -> tuple[float, float]:
+    """(λ_min, λ_max) of xᵀx for an m x d matrix x; λ_min is the structural 0 when m < d.
+
+    Forms the smaller Gram matrix of the prescaled x (xᵀx, or x xᵀ when
+    m < d), reduces it to tridiagonal form by Householder steps (Golub &
+    Van Loan 8.3.1) and bisects both ends of its spectrum by Sturm counts
+    (8.4.1) until each midpoint equals an endpoint of its interval.
+    """
+    x, e = _prescale(_as_matrix(x))
+    m, d = x.shape
+    g = x.T @ x if m >= d else x @ x.T
+    n = len(g)
+    for k in range(n - 2):
+        v = g[k + 1 :, k].copy()
+        sigma = _norm(v)
+        if sigma == 0.0:
+            continue
+        alpha = -math.copysign(sigma, v[0])
+        v[0] -= alpha
+        tau = 2.0 / float(v @ v)
+        block = g[k + 1 :, k + 1 :]
+        p = tau * (block @ v)
+        w = np.outer(v, p - (0.5 * tau * float(p @ v)) * v)
+        # w + wᵀ adds the same two products at (i, j) and (j, i): block stays symmetric
+        block -= w + w.T
+        g[k + 1, k] = alpha
+    diag = np.diag(g).tolist()
+    off = np.diag(g, -1)
+    off2 = [0.0] + (off * off).tolist()
+    radius = np.r_[np.abs(off), 0.0] + np.r_[0.0, np.abs(off)]
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    pivmin = float(np.finfo(np.float64).tiny) * max(1.0, max(off2))
+    # the count of eigenvalues below a shift is 0 at lo and n at hi; m < d pins λ_min at 0
+    ends = [[0.0, 0.0] if m < d else [lo, hi], [lo, hi]]
+    while True:
+        mids = [0.5 * (a + b) for a, b in ends]
+        if not any(a < mid < b for (a, b), mid in zip(ends, mids)):
+            break
+        s1, s2 = mids
+        q1 = q2 = 1.0
+        c1 = c2 = 0
+        for a, b2 in zip(diag, off2):
+            q1 = a - s1 - b2 / q1
+            q2 = a - s2 - b2 / q2
+            if abs(q1) < pivmin:
+                q1 = -pivmin
+            if abs(q2) < pivmin:
+                q2 = -pivmin
+            c1 += q1 < 0.0
+            c2 += q2 < 0.0
+        for end, mid, below, top in zip(ends, mids, (c1, c2), (1, n)):
+            end[below >= top] = mid
+    return tuple(np.ldexp(mids, 2 * e).tolist())
 
 
 def _solve_upper(r: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -4,13 +4,17 @@ The central quantity is distortion: with Ã = SA and A of full column rank,
 
     eta = || I - (AᵀA)^{-1/2} ÃᵀÃ (AᵀA)^{-1/2} ||_2
 
-Two permanently separate code paths compute it.  ``distortion`` evaluates
-the formula, with (AᵀA)^{-1/2} = V Σ^{-1} Vᵀ from the SVD of A and the norm
-as the largest singular value; ``distortion_via_basis`` uses the algebraic
-identity eta = max_i |1 - sigma_i(SU)^2| for an orthonormal basis U of A's
-column space.  They stay as mutual oracles; the basis route is what sweeps
-use (it is faster and better conditioned).  S embeds the column space with
-|1 - sigma_i^2| <= eps for every i exactly when eta <= eps.
+Two permanently separate code paths compute it, with different formulas
+and different algorithms.  ``distortion`` evaluates the formula, with
+(AᵀA)^{-1/2} = V Σ^{-1} Vᵀ from the Jacobi SVD of A and the norm as the
+largest singular value; ``distortion_via_basis`` uses the algebraic
+identity eta = max_i |1 - sigma_i(SU)^2| = max(|1 - λ_min|, |1 - λ_max|)
+for an orthonormal basis U of A's column space, with λ the extreme
+eigenvalues of G = (SU)ᵀ(SU) from ``linalg._gram_extremes`` (tridiagonal
+reduction and bisection, no rotations).  They stay as mutual oracles; the
+basis route is what sweeps use (it is faster and better conditioned).  S
+embeds the column space with |1 - sigma_i^2| <= eps for every i exactly
+when eta <= eps.
 
 The Monte Carlo estimator ``jlt_failure_rate`` takes a ``factory``: a
 callable mapping a Prng to a fresh sketch operator.  Trials use
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (RANK_TOL, RankDeficiencyError, _as_matrix, _norm, numerical_rank,
-                     singular_values, svd)
+from .linalg import (RANK_TOL, RankDeficiencyError, _as_matrix, _gram_extremes, _norm,
+                     numerical_rank, singular_values, svd)
 from .rng import Prng
 from .sketch import SketchOperator, sketch_apply
 
@@ -77,20 +81,20 @@ def _check_orthonormal(u: np.ndarray) -> None:
 
 
 def distortion_via_basis(u, op: SketchOperator) -> DistortionResult:
-    """Distortion from the singular values of S @ U, U an orthonormal n x d basis.
+    """Distortion from the extreme eigenvalues of G = (SU)ᵀ(SU), U an orthonormal n x d basis.
 
-    With fewer sketch rows than d, S @ U has d - m structural zeros that the
-    factorization does not return; they are counted here, so sigma_min is 0.
+    eta = max(|1 - λ_min|, |1 - λ_max|) and sigma = √max(λ, 0).  With fewer
+    sketch rows than d, λ_min is the structural 0 of G's d - m zero
+    eigenvalues, so sigma_min is 0.
     """
     u = _as_matrix(u)
     _check_orthonormal(u)
-    d = u.shape[1]
-    if d == 0:
+    if u.shape[1] == 0:
         return DistortionResult(eta=0.0, sigma_min=1.0, sigma_max=1.0)
-    sig = singular_values(sketch_apply(op, u))
-    sig = np.concatenate([sig, np.zeros(d - len(sig))])
-    eta = float(np.max(np.abs(1.0 - sig**2)))
-    return DistortionResult(eta=eta, sigma_min=float(sig[-1]), sigma_max=float(sig[0]))
+    lmin, lmax = _gram_extremes(sketch_apply(op, u))
+    sig_min, sig_max = np.sqrt([max(lmin, 0.0), max(lmax, 0.0)]).tolist()
+    return DistortionResult(eta=max(abs(1.0 - lmin), abs(1.0 - lmax)),
+                            sigma_min=sig_min, sigma_max=sig_max)
 
 
 def _check_unit(x: np.ndarray) -> np.ndarray:

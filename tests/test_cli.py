@@ -621,7 +621,7 @@ def test_magical_delta_row_per_m(tmp_path):
     ("distortion-sweep", "input = gen:gaussian:300x12\nmethods = graph:s=1,graph:s=2,graph:s=4:gamma=4\n"
                          "m_values = 8,24,48\ntrials = 2\nseed = 42\n",
      {("distortion", True)},
-     "aaeb19b7ac6976af0d67c4e7e7aebf688c988c8aa5f6f16c5341bb343cef0651", None),
+     "2852eece51ad98249e6ceecdfb1325247b599b08fd5ce84dcea863ddbae73b34", None),
     ("lsq-bench", "input = gen:gaussian:400x6\nmethods = graph:s=2,graph:s=3\nm_values = 30,60\n"
                   "trials = 2\nrow_mode = subset\nseed = 42\n",
      {("lsq_ratio", True)},

@@ -438,6 +438,71 @@ def test_lstsq_rejects_wide_and_bad_b():
 
 
 # ---------------------------------------------------------------------------
+# _gram_extremes: the two extreme eigenvalues of xᵀx
+
+
+def check_extremes(x, got):
+    """got within 1e-14 ||G||_2 of eigvalsh's extremes of G = xᵀx; λ_min exactly 0 when m < d."""
+    m, d = x.shape
+    ev = np.linalg.eigvalsh(x.T @ x)
+    tol = 1e-14 * max(abs(ev[0]), abs(ev[-1]))
+    if m < d:
+        assert got[0] == 0.0
+    else:
+        assert abs(got[0] - ev[0]) <= tol
+    assert abs(got[1] - ev[-1]) <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_extremes_small_d(d):
+    x = gen_gaussian(20, d, Prng(80 + d))
+    check_extremes(x, linalg._gram_extremes(x))
+
+
+def test_gram_extremes_zero_and_identity_are_exact():
+    assert linalg._gram_extremes(np.zeros((7, 4))) == (0.0, 0.0)
+    assert linalg._gram_extremes(np.eye(5)) == (1.0, 1.0)
+
+
+def test_gram_extremes_repeated_extremes_on_a_diagonal():
+    x = np.diag([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])
+    check_extremes(x, linalg._gram_extremes(x))
+
+
+def test_gram_extremes_tridiagonal_that_splits():
+    # an upper bidiagonal x has a tridiagonal xᵀx; a zero x[3, 4] zeroes G[3, 4] and G[4, 3]
+    x = np.diag(np.arange(1.0, 9.0)) + np.diag([0.5, -2.0, 1.5, 0.0, 3.0, -1.0, 0.25], 1)
+    g = x.T @ x
+    assert g[3, 4] == g[4, 3] == 0.0 and g[2, 3] != 0.0
+    check_extremes(x, linalg._gram_extremes(x))
+
+
+def test_gram_extremes_wide_input_has_structural_zero():
+    x = gen_gaussian(5, 12, Prng(84))
+    got = linalg._gram_extremes(x)
+    assert got[0] == 0.0
+    check_extremes(x, got)
+
+
+def test_gram_extremes_random_shapes_match_eigvalsh():
+    rng = Prng(85)
+    for trial in range(40):
+        m, d = (1 + int(v) for v in rng.integers_below(30, 2))
+        x = gen_gaussian(m, d, rng.split(trial))
+        check_extremes(x, linalg._gram_extremes(x))
+
+
+@pytest.mark.parametrize("c", [600, -600])
+def test_gram_extremes_scale_with_input(c):
+    # x * 2**c has extremes exactly 2**(2c) times those of x; x sits at 2**(-c/2)
+    # so that both sides stay inside the float64 range
+    x = np.ldexp(gen_gaussian(30, 8, Prng(86)), -c // 2)
+    check_extremes(x, linalg._gram_extremes(x))
+    want = np.ldexp(linalg._gram_extremes(x), 2 * c).tolist()
+    assert list(linalg._gram_extremes(np.ldexp(x, c))) == want
+
+
+# ---------------------------------------------------------------------------
 # matrix arguments go through the one 2-D check
 
 

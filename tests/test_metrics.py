@@ -127,6 +127,22 @@ def test_basis_keeps_structural_zeros_when_m_below_d():
     assert res.eta >= 1.0
 
 
+@pytest.mark.parametrize("method", ["graph", "gaussian"])
+def test_basis_eta_matches_lapack_at_d300(method):
+    # a wider d than any workload: the Gram route against LAPACK's singular values
+    n, d, m = 1200, 300, 600
+    u, _ = thin_qr(gen_gaussian(n, d, Prng(125)))
+    if method == "graph":
+        op = graph_sketch_new(n, m, 2, Prng(126))
+    else:
+        op = gaussian_sketch_new(n, m, Prng(126))
+    from sketchbench.sketch import sketch_apply
+
+    sig = np.linalg.svd(sketch_apply(op, u), compute_uv=False)
+    want = float(np.max(np.abs(1.0 - sig**2)))
+    assert distortion_via_basis(u, op).eta == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_basis_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         distortion_via_basis(2.0 * np.eye(3), identity_operator(3))
