@@ -138,7 +138,7 @@ def metric_change(rows_base: list[str], rows_work: list[str]) -> str:
     if len(rows_base) != len(rows_work) or any(a[0] != b[0] for a, b in split):
         return ""
     worst, where = 0.0, 0
-    for i, ((key, x), (_, y)) in enumerate(split[1:], start=1):
+    for i, ((_, x), (_, y)) in enumerate(split[1:], start=1):
         if x == y:
             continue
         try:

@@ -453,35 +453,35 @@ def check_extremes(x, got):
     assert abs(got[1] - ev[-1]) <= tol
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_gram_extremes_small_d(d):
-    x = gen_gaussian(20, d, Prng(80 + d))
+def _split_bidiagonal():
+    # an upper bidiagonal x has a tridiagonal xᵀx; a zero x[3, 4] zeroes G[3, 4] and G[4, 3]
+    x = np.diag(np.arange(1.0, 9.0)) + np.diag([0.5, -2.0, 1.5, 0.0, 3.0, -1.0, 0.25], 1)
+    g = x.T @ x
+    assert g[3, 4] == g[4, 3] == 0.0 and g[2, 3] != 0.0
+    return x
+
+
+_GRAM_CASES = {
+    "d1": lambda: gen_gaussian(20, 1, Prng(81)),
+    "d2": lambda: gen_gaussian(20, 2, Prng(82)),
+    "d3": lambda: gen_gaussian(20, 3, Prng(83)),
+    "repeated-extremes": lambda: np.diag([3.0, 1.0, 3.0, 2.0, 1.0, 3.0]),
+    "tridiagonal-splits": _split_bidiagonal,
+    "wide": lambda: gen_gaussian(5, 12, Prng(84)),
+    # G = [[2, 1], [1, 2]]: the first Sturm pivot, at the first midpoint 2, is exactly 0
+    "zero-pivot": lambda: np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_GRAM_CASES))
+def test_gram_extremes_match_eigvalsh(case):
+    x = _GRAM_CASES[case]()
     check_extremes(x, linalg._gram_extremes(x))
 
 
 def test_gram_extremes_zero_and_identity_are_exact():
     assert linalg._gram_extremes(np.zeros((7, 4))) == (0.0, 0.0)
     assert linalg._gram_extremes(np.eye(5)) == (1.0, 1.0)
-
-
-def test_gram_extremes_repeated_extremes_on_a_diagonal():
-    x = np.diag([3.0, 1.0, 3.0, 2.0, 1.0, 3.0])
-    check_extremes(x, linalg._gram_extremes(x))
-
-
-def test_gram_extremes_tridiagonal_that_splits():
-    # an upper bidiagonal x has a tridiagonal xᵀx; a zero x[3, 4] zeroes G[3, 4] and G[4, 3]
-    x = np.diag(np.arange(1.0, 9.0)) + np.diag([0.5, -2.0, 1.5, 0.0, 3.0, -1.0, 0.25], 1)
-    g = x.T @ x
-    assert g[3, 4] == g[4, 3] == 0.0 and g[2, 3] != 0.0
-    check_extremes(x, linalg._gram_extremes(x))
-
-
-def test_gram_extremes_wide_input_has_structural_zero():
-    x = gen_gaussian(5, 12, Prng(84))
-    got = linalg._gram_extremes(x)
-    assert got[0] == 0.0
-    check_extremes(x, got)
 
 
 def test_gram_extremes_random_shapes_match_eigvalsh():
