@@ -13,12 +13,13 @@ workload reads a file either, so it writes four small MatrixMarket files
 into its temporary directory (coordinate and array, general and
 symmetric; with numpy and f-strings, not the reader under test) and runs
 ``distortion-sweep`` on each, through the same absolute path at both
-trees so the ``dataset`` column matches.  Every workload's ``magical-delta``
-runs at s = 2, so it also writes configs at s = 1, 3 and 4 and runs those,
-which puts the block-row draw under the byte check at every degree up to
-4.  Every workload's ``lowrank-sweep`` has m <= d, so it also runs one at
-m = 12 and 48 on a 200 x 24 input, where m > d takes the Gram-product
-branch of ``lowrank_approx``.  It compares CSV columns 1-14
+trees so the ``dataset`` column matches.  It also writes ``magical-delta``
+configs at s = 1, 2, 3 and 4 and runs those, which puts the block-row draw
+under the byte check at every degree up to 4; at s = 2, m = 16 and 24,
+4-40% of trials fail, so trials that the greedy pass stalls on and Kuhn's
+search rejects reach the rows.  Every workload's ``lowrank-sweep`` has
+m <= d, so it also runs one at m = 12 and 48 on a 200 x 24 input, where
+m > d takes the Gram-product branch of ``lowrank_approx``.  It compares CSV columns 1-14
 (every column but ``wall_time_ms``) and any witness file byte for byte,
 prints one line per (step, threads, seed), and exits 1 if any run fails or
 any output differs.  When rows differ only in column 14, ``metric_value``,
@@ -87,11 +88,12 @@ def matrix_market_steps(tmp: Path) -> list[tuple[str, Step]]:
 
 
 def magical_delta_steps(tmp: Path) -> list[tuple[str, Step]]:
-    """One magical-delta step at each degree s in {1, 3, 4}, on configs
+    """One magical-delta step at each degree s in {1, 2, 3, 4}, on configs
     written here (n = 300, k = 12, 200 trials), at sizes m where the failure
-    rate is neither 0 nor 1, so that the rows depend on the drawn rows."""
+    rate is neither 0 nor 1, so that the rows depend on the drawn rows and
+    on Kuhn's search where the greedy matching stalls."""
     steps = []
-    for s, m_values in ((1, "48,96"), (3, "12,15"), (4, "12")):
+    for s, m_values in ((1, "48,96"), (2, "16,24"), (3, "12,15"), (4, "12")):
         cfg = tmp / f"magical-delta-s{s}.cfg"
         cfg.write_text(f"n = 300\ns = {s}\nk = 12\nm_values = {m_values}\ntrials = 200\n")
         steps.append((f"magical-delta-s{s}", Step("magical-delta", str(cfg), None, 1)))

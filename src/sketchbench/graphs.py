@@ -18,7 +18,10 @@ and reports how often matching coverage fails.  It splits all trials'
 streams as arrays, draws all their subsets in one call, and builds only the
 rows of the k chosen columns, through the block-row draw of ``sketch``
 (the one ``graph_sketch_new`` uses) on all trials' row streams at once.
-That failure frequency is the empirical stand-in for the per-subset failure
+A greedy matching over all trials at once (``_greedy_stalls``) settles
+every trial in which each column found a free row; only the trials where
+it stalls go to Kuhn's search, whose answer decides them.  That failure
+frequency is the empirical stand-in for the per-subset failure
 probability the s=2 construction is supposed to keep at O(1/k) once m is a
 constant multiple of k.
 """
@@ -214,9 +217,12 @@ def estimate_magical_delta(
     trials are drawn together: their seeds by ``_split_seeds``, their subsets
     by one ``_subsets`` call, and the rows of only each subset's k columns
     from all trials' row streams (``_block_mode_rows``).  The matching check
-    runs on the k-vertex graph those columns span.  No signs are drawn.  This
-    estimates the failure probability delta of Definition-2 style coverage;
-    it samples subsets rather than quantifying over all of them.
+    runs on the k-vertex graph those columns span.  One greedy pass over the
+    whole batch (``_greedy_stalls``) covers most trials; ``max_matching_covers``
+    decides only the trials where it stalls, so the count is the one a Kuhn
+    search on every trial gives.  No signs are drawn.  This estimates the
+    failure probability delta of Definition-2 style coverage; it samples
+    subsets rather than quantifying over all of them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -226,6 +232,34 @@ def estimate_magical_delta(
     trial_seeds = _split_seeds(rng.seed, np.arange(trials))
     cols = _subsets(trial_seeds, 0, n, k, 1)[0][:, 0]
     rows = _block_mode_rows(_split_seeds(trial_seeds, _ROW_STREAM), n, m, s, cols)
-    failures = sum(not max_matching_covers(BipartiteGraph(k, m, s, adjacency=adj), range(k))
-                   for adj in rows)
+    failures = sum(not max_matching_covers(BipartiteGraph(k, m, s, adjacency=rows[t]), range(k))
+                   for t in np.flatnonzero(_greedy_stalls(rows)))
     return failures / trials
+
+
+def _greedy_stalls(rows: np.ndarray) -> np.ndarray:
+    """Flag the trials of a (trials, k, s) rows batch where a greedy matching stalls.
+
+    Left vertex u = 0..k−1 of every trial in turn takes the first of its
+    rows, in adjacency order, that no earlier vertex of its trial took.  A
+    trial in which every vertex took a row has a matching that saturates all
+    k, so it is covered; a trial in which some vertex found every row taken
+    is flagged, and stops taking rows.  That is k·s array steps for the
+    whole batch.  Each trial's rows are relabelled by one ``np.unique``, so
+    the taken flags number at most ``rows.size``, whatever m is.
+    """
+    trials, k, s = rows.shape
+    span = int(rows.max()) + 1 if rows.size else 1
+    keys = np.arange(trials, dtype=np.int64)[:, None, None] * span + rows
+    labels = np.unique(keys, return_inverse=True)[1].reshape(rows.shape)
+    taken = np.zeros(rows.size, dtype=bool)
+    stalled = np.zeros(trials, dtype=bool)
+    for u in range(k):
+        placed = stalled.copy()
+        for i in range(s):
+            label = labels[:, u, i]
+            take = ~placed & ~taken[label]
+            taken[label[take]] = True
+            placed |= take
+        stalled |= ~placed
+    return stalled

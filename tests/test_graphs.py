@@ -13,6 +13,7 @@ from sketchbench.cli import _trial_stream
 from sketchbench.graphs import (
     BipartiteGraph,
     BudgetExceededError,
+    _greedy_stalls,
     estimate_magical_delta,
     max_matching_covers,
     verify_expansion,
@@ -357,3 +358,68 @@ def test_delta_in_unit_interval(seed):
     rate = estimate_magical_delta(12, 8, 2, 4, trials=7, rng=Prng(seed))
     assert 0.0 <= rate <= 1.0
     assert rate * 7 == int(rate * 7)
+
+
+def test_delta_memory_is_bounded_by_the_rows_not_by_m():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rate = estimate_magical_delta(40, 2**18, 2, 4, 500, Prng(104))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= rate <= 1.0
+    assert peak < 16 * 2**20  # a trials x m table of flags alone would be 125 MiB
+
+
+# ---------------------------------------------------------------------------
+# _greedy_stalls: the batch pass in front of max_matching_covers
+
+# (rows of one trial, greedy stalls, Hall's condition holds), all k = 3, s = 2
+GREEDY_CASES = {
+    "greedy covers": ([[0, 1], [1, 2], [2, 3]], False, True),
+    "greedy covers in reverse": ([[2, 3], [1, 2], [0, 1]], False, True),
+    "stalls, Kuhn covers": ([[0, 1], [1, 2], [0, 1]], True, True),
+    "stalls, Hall fails": ([[0, 1], [0, 1], [0, 1]], True, False),
+    "repeated right vertex covers": ([[3, 3], [3, 4], [4, 5]], False, True),
+    "repeated right vertex stalls": ([[3, 3], [3, 3], [4, 5]], True, False),
+}
+
+
+def _graph_of(rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    return BipartiteGraph(len(rows), int(rows.max()) + 1, rows.shape[1], rows)
+
+
+@pytest.mark.parametrize("name", GREEDY_CASES)
+def test_greedy_stalls_on_handcrafted_trials(name):
+    rows, stalls, hall = GREEDY_CASES[name]
+    assert _greedy_stalls(np.array([rows], dtype=np.int64)).tolist() == [stalls]
+    g = _graph_of(rows)
+    assert hall_condition(g, range(3)) == hall
+    assert max_matching_covers(g, range(3)) == hall
+
+
+def test_greedy_stalls_answers_each_trial_on_its_own():
+    cases = list(GREEDY_CASES.values())
+    order = [0, 1, 2, 3, 4, 5, 5, 3, 2, 1, 4, 0, 2, 2, 1]
+    batch = np.array([cases[i][0] for i in order], dtype=np.int64)
+    assert _greedy_stalls(batch).tolist() == [cases[i][1] for i in order]
+
+
+def test_greedy_never_passes_a_trial_that_fails_hall():
+    pick = np.random.default_rng(105)
+    passed = stalled = 0
+    for _ in range(2000):
+        trials, k, s = pick.integers(1, 6), pick.integers(1, 9), pick.integers(1, 5)
+        m = pick.integers(1, 3 * k * s // 2 + 2)
+        rows = pick.integers(0, m, size=(trials, k, s))
+        flags = _greedy_stalls(rows)
+        assert flags.shape == (trials,) and flags.dtype == bool
+        for adj, flag in zip(rows, flags):
+            stalled += flag
+            if not flag:
+                passed += 1
+                assert hall_condition(_graph_of(adj), range(k)), adj.tolist()
+    assert passed >= 2000 and stalled >= 1000
