@@ -249,7 +249,7 @@ def _greedy_stalls(rows: np.ndarray) -> np.ndarray:
     the taken flags number at most ``rows.size``, whatever m is.
     """
     trials, k, s = rows.shape
-    span = int(rows.max()) + 1 if rows.size else 1
+    span = int(rows.max()) + 1
     keys = np.arange(trials, dtype=np.int64)[:, None, None] * span + rows
     labels = np.unique(keys, return_inverse=True)[1].reshape(rows.shape)
     taken = np.zeros(rows.size, dtype=bool)
