@@ -64,6 +64,7 @@ JACOBI_SWEEP_CAP = 60
 _JACOBI_TOL = 1e-14
 # numerical_rank counts the entries above this times the largest
 RANK_TOL = 1e-10
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal float64
 
 __all__ = [
     "ConvergenceError",
@@ -111,7 +112,19 @@ class SvdResult:
 
 
 def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(x * x)))
+    """Frobenius norm of x at any float64 scale.
+
+    The plain sqrt(sum(x*x)) unless that sum of squares overflows, or is zero
+    or subnormal for a nonzero x; then x is first divided by the power of two
+    of max|x|, which is exact and keeps x's layout, so the sum runs in the
+    same order and every finite, normal sum keeps its bits.
+    """
+    total = float(np.sum(x * x))
+    if total == math.inf or (total < _TINY and np.any(x)):
+        e = math.frexp(float(np.max(np.abs(x))))[1]
+        x = np.ldexp(x, -e)
+        return math.ldexp(math.sqrt(np.sum(x * x)), e)
+    return math.sqrt(total)
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -16,7 +16,9 @@ how much the parent has drawn.
 
 One kernel, ``_splitmix``, computes every output: a (stream x counter)
 block of any number of streams at one counter, one stream for ``raw``.  It
-and ``_split_seeds``, which splits many streams at once, share one array
+allocates that block, or writes it into one its caller holds, with a
+scratch array of the same shape for the mixing shifts.  It and
+``_split_seeds``, which splits many streams at once, share one array
 finalizer, ``_mix64_many``.
 
 Normal variates come from Box-Muller: ``normal(n)`` makes pairs = ceil(n/2)
@@ -27,8 +29,9 @@ into the output, so it holds no more than the output and one block.
 
 Bounded integers use bitmask rejection sampling, which is exact.
 ``_draws_below`` holds that rule for many streams at once, drawing them as
-one block per chunk of streams (a further block only when a stream of the
-chunk falls short); ``integers_below`` is its one-stream case.  ``_subsets``
+one block per chunk of streams, every chunk into the same held block (a
+further block only when a stream of the chunk falls short);
+``integers_below`` is its one-stream case.  ``_subsets``
 runs partial Fisher-Yates with that rule, ``count`` subsets in a row on many
 streams at once: it draws one block per chunk of streams and walks it as
 Python ints, a stream drawing a further block only when it runs short;
@@ -141,33 +144,40 @@ class Prng:
         return values[0, 0]
 
 
-def _mix64_many(z: np.ndarray) -> np.ndarray:
-    """``mix64`` on a uint64 array, in place; returns the array."""
+def _mix64_many(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``mix64`` on a uint64 array, in place; returns the array.  The shifts
+    go into ``tmp``, a uint64 array of z's shape, when one is given."""
     # uint64 array arithmetic wraps mod 2^64 without a warning
-    z ^= z >> np.uint64(30)
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
-def _splitmix(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
+def _splitmix(seeds: np.ndarray, start: int, count: int,
+              out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """Outputs start+1 .. start+count of each stream, one row per seed.
 
     The SplitMix64 kernel of every draw: a (len(seeds), count) uint64 block
-    whose entry (r, c) is mix64(seeds[r] + (start + c + 1) * GOLDEN).
+    whose entry (r, c) is mix64(seeds[r] + (start + c + 1) * GOLDEN).  With
+    ``out``, a uint64 array of that shape, the block is written into it and
+    ``out`` returned, and ``tmp``, of the same shape, takes the mixing
+    shifts; so a caller drawing block after block reuses two arrays.
     """
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     # the counters become the states, then the outputs; one stream stays in
     # place, which saves a block of memory (a copy raised lsq-bench peak RSS)
-    if len(seeds) == 1:
+    if out is not None:
+        z = np.add(seeds[:, None], z, out=out)
+    elif len(seeds) == 1:
         z += seeds
         z = z[None, :]
     else:
         z = z + seeds[:, None]
-    return _mix64_many(z)
+    return _mix64_many(z, tmp)
 
 
 def _split_seeds(parents, ids) -> np.ndarray:
@@ -199,10 +209,12 @@ def _draws_below(
     count-th accepted draw; bound 1 draws nothing.
 
     Streams are taken as many at a time as fit ``_DRAW_CHUNK`` draws, and
-    each chunk draws one (stream x counter) block.  While some stream of the
-    chunk has fewer than ``count`` accepted values, the whole chunk draws the
-    next block, sized for the largest shortfall; values never depend on the
-    block sizes.
+    each chunk draws one (stream x counter) block.  Every chunk's block is
+    written into one block and one scratch array allocated per call, the
+    last chunk into their first rows when it has fewer streams.  While some
+    stream of the chunk has fewer than ``count`` accepted values, the whole
+    chunk draws the next block, sized for the largest shortfall, as a new
+    array; values never depend on the block sizes.
     """
     values = np.zeros(np.shape(picks), dtype=np.int64)
     ends = np.full(len(seeds), start, dtype=np.int64)
@@ -212,9 +224,13 @@ def _draws_below(
     mask = np.uint64((1 << bits) - 1)
     length = _block_length(count, bits, bound)
     per_chunk = max(1, _DRAW_CHUNK // length)
+    # fresh arrays for each chunk cost more in page faults than in arithmetic
+    block = np.empty((min(per_chunk, len(seeds)), length), dtype=np.uint64)
+    tmp = np.empty_like(block)
     for lo in range(0, len(seeds), per_chunk):
         rows = slice(lo, lo + per_chunk)
-        cand = _splitmix(seeds[rows], start, length)
+        r = len(seeds[rows])
+        cand = _splitmix(seeds[rows], start, length, block[:r], tmp[:r])
         cand &= mask
         while True:
             hits = np.flatnonzero(cand < bound)  # row-major: stream, then counter

@@ -32,6 +32,19 @@ def fro(a):
 
 
 # ---------------------------------------------------------------------------
+# _norm
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 2.0**-600, 2.0**600, 2.0**1000])
+def test_norm_scales_exactly_where_squares_leave_range(c):
+    x = gen_gaussian(30, 4, Prng(7))
+    with np.errstate(over="ignore"):
+        assert linalg._norm(c * x) == c * linalg._norm(x)
+    assert linalg._norm(np.zeros(5)) == 0.0
+    assert linalg._norm(np.array([0.0, -2.0**-1074])) == 2.0**-1074
+
+
+# ---------------------------------------------------------------------------
 # thin_qr
 
 

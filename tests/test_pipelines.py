@@ -132,6 +132,20 @@ def test_best_rank_matches_reconstruction():
     assert best_rank_k_error(a, k) == pytest.approx(recon_err, abs=1e-8)
 
 
+@pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
+def test_lsq_ratio_and_tail_error_exact_at_extreme_scales(c):
+    """A power-of-two scale is exact along the whole path, so squares that
+    overflow or vanish must not turn either quantity into inf, 0 or 1.0."""
+    a = gen_gaussian(300, 10, Prng(158))
+    b = Prng(159).normal(300)
+    op = graph_sketch_new(300, 40, 2, Prng(160))
+    want = sketch_and_solve_lsq(a, b, op, lstsq_factor(a)).ratio
+    assert want > 1.0
+    with np.errstate(over="ignore"):
+        assert sketch_and_solve_lsq(c * a, c * b, op, lstsq_factor(c * a)).ratio == want
+        assert best_rank_k_error(c * a, 5) / c == best_rank_k_error(a, 5)
+
+
 def test_best_rank_validates_k():
     a = gen_gaussian(6, 4, Prng(156))
     with pytest.raises(ValueError):

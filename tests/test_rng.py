@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from sketchbench.rng import (
     Prng,
     _draws_below,
     _split_seeds,
+    _splitmix,
     _subsets,
     mix64,
 )
@@ -257,6 +260,47 @@ def test_draws_below_short_first_block_draws_more(monkeypatch):
         needs.clear()
         _assert_streams_match_integers_below(seeds, bound, 200)
         assert any(need < 200 for need in needs)  # a further block was drawn
+
+
+@pytest.mark.parametrize("streams", [1, 2, 13])
+def test_splitmix_into_a_held_block(streams):
+    """With ``out`` and ``tmp`` (here strided views of larger blocks) the
+    block is written into ``out``, with the allocating path's values."""
+    seeds = np.array([Prng(81).split(r).seed for r in range(streams)], dtype=np.uint64)
+    held, scratch = np.zeros((16, 400), dtype=np.uint64), np.zeros((16, 400), dtype=np.uint64)
+    for start in (0, 17):
+        for count in (1, 300):
+            out = held[1:1 + streams, 3:3 + count]
+            got = _splitmix(seeds, start, count, out, scratch[2:2 + streams, :count])
+            assert np.shares_memory(got, held)
+            np.testing.assert_array_equal(got, _splitmix(seeds, start, count))
+            want = [[mix64(int(z) + (start + c + 1) * GOLDEN) for c in range(count)]
+                    for z in seeds]
+            assert got.tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [300, 1000])
+def test_draws_below_reuses_one_block(monkeypatch, chunk):
+    """Every chunk's first block is drawn into the block of the first chunk
+    (at 1000 the last chunk is shorter), and the values stay the reference's."""
+    monkeypatch.setattr(rng_module, "_DRAW_CHUNK", chunk)
+    calls = []
+    splitmix = rng_module._splitmix
+    signature = inspect.signature(splitmix)
+
+    def recorded(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return splitmix(*args, **kwargs)
+
+    monkeypatch.setattr(rng_module, "_splitmix", recorded)
+    seeds = [Prng(82).split(r).seed for r in range(13)]
+    picks = np.broadcast_to(np.arange(120), (13, 120))
+    _draws_below(np.array(seeds, dtype=np.uint64), 0, 20, 120, picks)
+    firsts = [call for call in calls if call["start"] == 0]
+    assert len(firsts) > 1 and sum(len(call["seeds"]) for call in firsts) == 13
+    for call in firsts:
+        assert np.shares_memory(call["out"], firsts[0]["out"])
+    _assert_streams_match_integers_below(seeds, 20, 120)
 
 
 def _assert_subsets_match_loop(seeds, start, n, k, count):
