@@ -14,16 +14,16 @@ Algorithm choices, pinned for reproducibility:
   private Householder core does this prescale for every routine here, and
   forms Q only for ``thin_qr`` and ``lstsq_factor``.
 * ``svd`` and ``singular_values``: one private spectrum driver runs
-  one-sided Jacobi rotations on the R of that QR (R alone, never Q), so the
-  rotation phase always runs on a square d x d matrix.  ``svd`` takes
-  n >= d, accumulates V from the rotations of R's columns and forms no U;
-  ``singular_values`` also takes a wide input, through its transpose.  A
-  sweep visits the column pairs in round-robin order (Brent & Luk 1985):
-  d - 1 rounds of d/2 disjoint pairs, or d rounds with one column sitting
-  out each round when d is odd, so a whole round is rotated at once by
-  array operations.
-  Column norms are tracked with the Rutishauser update and refreshed once
-  per sweep.  Sweeps are capped at 60; hitting the cap raises
+  one-sided Jacobi rotations on Rᵀ, with R from that QR (R alone, never Q),
+  so the rotation phase always runs on a square d x d matrix.  The rotated
+  X = RᵀW has orthogonal columns, so A = (QW) Σ (X/σ)ᵀ and V = X/σ, as in
+  Drmač & Veselić's Jacobi SVD (2008): no rotation is accumulated and no U
+  is formed.  ``svd`` takes n >= d; ``singular_values`` also takes a wide
+  input, through its transpose.  A sweep visits the column pairs in the
+  round-robin order of Brent & Luk (1985), ``_round_robin``, so a whole
+  round of disjoint pairs is rotated at once by array operations.  Column
+  norms are tracked with the Rutishauser update and refreshed once per
+  sweep.  Sweeps are capped at 60; hitting the cap raises
   ConvergenceError carrying the worst remaining off-diagonal ratio.  This
   is the only rotation loop in the package.
 * ``_gram_extremes``: the two extreme eigenvalues of xᵀx, for the
@@ -46,8 +46,8 @@ Algorithm choices, pinned for reproducibility:
 * ``numerical_rank``: the one rank rule, the count of |values| above
   ``RANK_TOL`` times the largest; every full-rank check in the package calls it.
 
-The signs of V's columns are not normalized: each is the one the rotations
-leave, the same for the same input.  Every caller reads V only where a
+The signs of V's columns are not normalized: each is that of the rotated
+column of Rᵀ, the same for the same input.  Every caller reads V only where a
 column sign flip changes no bit of its result, because negation is exact:
 V Σ^-1 Vᵀ in ``metrics.distortion``, and the rank-k projection
 (A V_k) V_kᵀ with V_k = Q W_k in ``pipelines.lowrank_approx``.
@@ -103,8 +103,9 @@ class SvdResult:
     """Singular values and right singular vectors: A V = U diag(singular_values).
 
     For an n x d input with n >= d: V is d x d and orthogonal, singular
-    values descending and nonnegative.  U is not formed, and the column
-    signs of V are not normalized.
+    values descending and nonnegative.  V is read off the rotated columns of
+    Rᵀ, with those of σ = 0 completed to an orthogonal V.  U is not formed,
+    and the column signs of V are not normalized.
     """
 
     singular_values: np.ndarray
@@ -224,26 +225,23 @@ def _round_robin(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(first), step
 
 
-def _one_sided_jacobi(w: np.ndarray, accumulate_v: bool) -> np.ndarray | None:
+def _one_sided_jacobi(w: np.ndarray) -> None:
     """Orthogonalize the columns of w in place by plane rotations.
 
     A sweep is the n - 1 rounds of ``_round_robin``.  The work is done on a
     transposed copy, where each column of w is one row, seated so that the
     pairs of a round are adjacent rows; the pairs are disjoint, so a round
     computes every pair's rotation as array operations and applies them
-    all as one batched 2 x 2 product.  Returns the accumulated
-    right-rotation matrix V (so that the original w equals new_w @ V.T)
-    when requested, else None.
+    all as one batched 2 x 2 product.
     """
     d = w.shape[1]
     if d < 2:
-        return np.eye(d) if accumulate_v else None
+        return
     seats, step = _round_robin(d)
     n, k = len(seats), len(seats) // 2
     xt = np.zeros((n, w.shape[0]))
     xt[:d] = w.T
     xt = xt[seats]
-    vt = np.eye(n, d)[seats] if accumulate_v else None
     worst = 0.0
     for _ in range(JACOBI_SWEEP_CAP):
         norms = np.einsum("ij,ij->i", xt, xt)
@@ -267,36 +265,38 @@ def _one_sided_jacobi(w: np.ndarray, accumulate_v: bool) -> np.ndarray | None:
                 sn = cs * t
                 g = np.stack([cs, -sn, sn, cs], axis=1).reshape(k, 2, 2)
                 xt = (g @ pairs).reshape(n, -1)
-                if vt is not None:
-                    vt = (g @ vt.reshape(k, 2, -1)).reshape(n, -1)
                 # Rutishauser norm updates; clamp tiny negative drift
                 norms[0::2] = np.maximum(npp - t * npq, 0.0)
                 norms[1::2] = np.maximum(nqq + t * npq, 0.0)
                 rotated = True
             xt, norms = xt[step], norms[step]
-            if vt is not None:
-                vt = vt[step]
         if not rotated:
             # n - 1 steps have brought every row back to its first seat
-            unseat = np.argsort(seats)[:d]
-            w[:] = xt[unseat].T
-            return None if vt is None else vt[unseat].T
+            w[:] = xt[np.argsort(seats)[:d]].T
+            return
     raise ConvergenceError(
         f"one-sided Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps", worst
     )
 
 
-def _spectrum(a, accumulate_v: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(singular values descending, V or None) of an n x d matrix with n >= d.
+def _spectrum(a) -> tuple[np.ndarray, np.ndarray]:
+    """(singular values descending, V) of an n x d matrix with n >= d.
 
-    Jacobi on R alone, no Q; the column norms are sorted by a stable
-    descending argsort, V's columns with them, and scaled back by 2**e.
+    V is X/σ, X the Jacobi-rotated Rᵀ, its columns sorted with σ by a stable
+    descending argsort.  A column with σ = 0 stays zero (Jacobi skips
+    zero-norm pairs) and sorts last; the Householder Q of V completes it.
     """
-    _, w, e = _householder_qr(a, form_q=False)
-    v = _one_sided_jacobi(w, accumulate_v)
-    sig = np.sqrt(np.sum(w * w, axis=0))
+    _, r, e = _householder_qr(a, form_q=False)
+    x = r.T
+    _one_sided_jacobi(x)
+    sig = np.sqrt(np.sum(x * x, axis=0))
     order = np.argsort(-sig, kind="stable")
-    return np.ldexp(sig[order], e), None if v is None else v[:, order]
+    sig, x = sig[order], x[:, order]
+    v = np.divide(x, sig, out=np.zeros_like(x), where=sig > 0.0)
+    live = np.count_nonzero(sig)
+    if live < len(sig):
+        v[:, live:] = _householder_qr(v, form_q=True)[0][:, live:]
+    return np.ldexp(sig, e), v
 
 
 def svd(a) -> SvdResult:
@@ -304,14 +304,13 @@ def svd(a) -> SvdResult:
 
     A wide input raises ``ValueError``.
     """
-    sig, v = _spectrum(a, accumulate_v=True)
-    return SvdResult(singular_values=sig, V=v)
+    return SvdResult(*_spectrum(a))
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values only, descending, min(n, d) of them; a wide A goes through Aᵀ."""
     a = _as_matrix(a)
-    return _spectrum(a.T if a.shape[0] < a.shape[1] else a, accumulate_v=False)[0]
+    return _spectrum(a.T if a.shape[0] < a.shape[1] else a)[0]
 
 
 def _gram_extremes(x) -> tuple[float, float]:

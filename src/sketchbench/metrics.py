@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (RANK_TOL, RankDeficiencyError, _as_matrix, _gram_extremes, _norm,
-                     numerical_rank, singular_values, svd)
+                     _prescale, numerical_rank, singular_values, svd)
 from .rng import Prng
 from .sketch import SketchOperator, sketch_apply
 
@@ -59,6 +59,9 @@ def distortion(a, a_sketched) -> DistortionResult:
     n, d = a.shape
     if n < d:
         raise RankDeficiencyError(f"A is {n}x{d}: fewer rows than columns")
+    # eta is invariant under one scale of A and SA; A's power of two keeps ÃᵀÃ in range
+    a, e = _prescale(a)
+    at = np.ldexp(at, -e)
     res = svd(a)
     sig_a = res.singular_values
     if numerical_rank(sig_a) < d:

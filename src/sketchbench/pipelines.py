@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (LstsqFactor, _as_matrix, _norm, lstsq_exact, numerical_rank, singular_values,
-                     svd, thin_qr)
+from .linalg import (LstsqFactor, _as_matrix, _norm, _prescale, lstsq_exact, numerical_rank,
+                     singular_values, svd, thin_qr)
 from .sketch import SketchOperator, sketch_apply
 
 _ZERO_REL = 1e-10
@@ -71,13 +71,16 @@ def sketch_and_solve_lsq(a, b, op: SketchOperator, exact: LstsqFactor) -> LsqRes
     sb = sketch_apply(op, b[:, None])[:, 0]
     x_tilde = lstsq_exact(sa, sb)
     x_star = exact.solve(b)
-    sketched = _norm(a @ x_tilde - b)
-    optimal = _norm(a @ x_star - b)
+    # _norm rescales a sum of squares that overflows; the overflow itself is expected
+    with np.errstate(over="ignore"):
+        sketched = _norm(a @ x_tilde - b)
+        optimal = _norm(a @ x_star - b)
+        scale = _norm(b)
     return LsqResult(
         x_tilde=x_tilde,
         sketched_residual=sketched,
         optimal_residual=optimal,
-        ratio=_ratio(sketched, optimal, _norm(b)),
+        ratio=_ratio(sketched, optimal, scale),
     )
 
 
@@ -88,7 +91,8 @@ def best_rank_k_error(a, k: int) -> float:
     if not 1 <= k <= r:
         raise ValueError(f"k must be in [1, {r}], got {k}")
     sig = singular_values(a)
-    return _norm(sig[k:])
+    with np.errstate(over="ignore"):
+        return _norm(sig[k:])
 
 
 def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRankResult:
@@ -112,7 +116,8 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
         raise ValueError(f"sketch rows m={m} must be at least k={k}")
     if min(m, d) > n:
         raise ValueError(f"basis of min(m, d)={min(m, d)} directions exceeds the {n} rows of A")
-    y = sketch_apply(op, a)
+    # Y's power of two is exact and keeps the Gram product Yᵀ Y in range
+    y = _prescale(sketch_apply(op, a))[0]
     if m <= d:
         q, r = thin_qr(y.T)
     else:
@@ -124,10 +129,12 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
     w_k = svd(b).V[:, :k]
     v_k = q @ w_k
     approx = (a @ v_k) @ v_k.T
-    err = _norm(a - approx)
+    with np.errstate(over="ignore"):
+        err = _norm(a - approx)
+        scale = _norm(a)
     return LowRankResult(
         V_k=v_k,
         sketch_error=err,
-        ratio=_ratio(err, optimal_error, _norm(a)),
+        ratio=_ratio(err, optimal_error, scale),
         rank_deficient=rank_deficient,
     )

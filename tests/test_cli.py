@@ -412,6 +412,28 @@ def test_rank_deficient_matrix_market_input_exits_4_before_the_output_opens(tmp_
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
+@pytest.mark.parametrize("command, extra", [
+    ("distortion-sweep", {}),
+    # m = 12 <= d = 24 takes the QR of Yᵀ, m = 48 > d the Gram product Yᵀ Y
+    ("lowrank-sweep", {"k": "5"}),
+])
+def test_sweeps_on_a_file_scaled_by_a_power_of_two_give_the_unscaled_values(tmp_path, command,
+                                                                            extra, c):
+    # the scale is exact along the whole path, so no square may overflow or vanish
+    a = Prng(40).normal(200 * 24).reshape(200, 24)
+    values = []
+    for name, scale in (("unscaled", 1.0), ("scaled", c)):
+        mtx = tmp_path / f"{name}.mtx"
+        write_matrix_market(scale * a, str(mtx))
+        out = tmp_path / f"{name}.csv"
+        cfg = _write_sweep_cfg(tmp_path, input=str(mtx), m_values="12,48", **extra)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        values.append([row[13] for row in _rows(out)])
+    assert len(values[0]) == 8 and values[0] == values[1]
+
+
 def test_coordinate_and_array_files_give_the_same_rows(tmp_path):
     a = Prng(38).normal(40 * 5).reshape(40, 5)
     a[Prng(39).normal(40 * 5).reshape(40, 5) < 0.3] = 0.0  # about 60% zeros
@@ -630,7 +652,7 @@ def test_magical_delta_row_per_m(tmp_path):
     ("lowrank-sweep", "input = gen:lowrank:120x16:4:0.01\nmethods = graph:s=2,graph:s=4:gamma=4\n"
                       "m_values = 2,8,24\nk = 4\ntrials = 2\nseed = 42\n",
      {("skipped_m_below_k", True), ("lowrank_ratio", True)},
-     "d4c078834583deaefc147f0f98cce5e1d5ea308dde24cc37864ea66489d30331", None),
+     "68cd82f898b8ea39194828c75a54a23de21d818c7572163631cea12c5e7f4072", None),
 ], ids=["magical-delta", "verify-graph", "distortion-sweep", "lsq-bench", "lowrank-sweep"])
 def test_graph_command_bytes_are_pinned(tmp_path, command, cfg_text, outcomes, csv_digest,
                                         witness_digest):

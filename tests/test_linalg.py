@@ -158,6 +158,21 @@ def test_svd_rank_deficient_input():
     assert res.singular_values[5] < 1e-10 * res.singular_values[0]
 
 
+def test_svd_at_the_edge_of_the_rank_rule():
+    # κ(A) = 1e10, the largest metrics.distortion accepts: V = X/σ still has
+    # orthonormal columns, though X's smallest column norms are 1e-10 of its largest
+    n, d = 200, 40
+    u = np.linalg.qr(gen_gaussian(n, d, Prng(70)))[0]
+    w = np.linalg.qr(gen_gaussian(d, d, Prng(71)))[0]
+    a = (u * np.logspace(0, -10, d)) @ w.T
+    res = svd(a)
+    v = res.V
+    assert fro(v.T @ v - np.eye(d)) <= 1e-13
+    assert fro(a - (a @ v) @ v.T) <= 1e-13 * fro(a)
+    want = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(res.singular_values - want)) <= 1e-13 * want[0]
+
+
 def test_svd_hundred_seeded_instances():
     # factorization invariants across random tall shapes up to 200x50
     rng = Prng(28)

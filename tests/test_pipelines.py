@@ -5,7 +5,7 @@ import pytest
 
 from sketchbench.linalg import RankDeficiencyError, lstsq_factor, svd
 from sketchbench.matrices import gen_gaussian, gen_low_rank_plus_noise
-from sketchbench.metrics import distortion  # noqa: F401  (import cycle sanity)
+from sketchbench.metrics import distortion
 from sketchbench.pipelines import (
     best_rank_k_error,
     lowrank_approx,
@@ -146,6 +146,35 @@ def test_lsq_ratio_and_tail_error_exact_at_extreme_scales(c):
         assert best_rank_k_error(c * a, 5) / c == best_rank_k_error(a, 5)
 
 
+def _lowrank(c, m):
+    a = gen_low_rank_plus_noise(300, 40, 5, 0.01, Prng(171))
+    op = graph_sketch_new(300, m, 2, Prng(172))
+    res = lowrank_approx(c * a, 5, op, best_rank_k_error(c * a, 5))
+    return np.r_[res.ratio, res.V_k.ravel()]
+
+
+def _distortion(c):
+    a = gen_gaussian(300, 20, Prng(173))
+    sa = sketch_apply(graph_sketch_new(300, 60, 2, Prng(174)), a)
+    res = distortion(c * a, c * sa)
+    return np.array([res.eta, res.sigma_min, res.sigma_max])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
+@pytest.mark.parametrize("quantity", [
+    lambda c: _lowrank(c, 20),  # m <= d: the QR of Yᵀ
+    lambda c: _lowrank(c, 80),  # m > d: the QR of the Gram product Yᵀ Y
+    _distortion,
+], ids=["lowrank-m20", "lowrank-m80", "distortion"])
+def test_lowrank_and_distortion_exact_at_extreme_scales(quantity, c):
+    """The ratio and V_k of lowrank_approx, and eta and the sigmas of
+    distortion, do not change under a power-of-two scale of A (and SA)."""
+    want = quantity(1.0)
+    assert np.all(np.isfinite(want))
+    np.testing.assert_array_equal(quantity(c), want)
+
+
 def test_best_rank_validates_k():
     a = gen_gaussian(6, 4, Prng(156))
     with pytest.raises(ValueError):
@@ -222,6 +251,25 @@ def test_lowrank_wide_sketched_product_is_refused():
     err = np.linalg.norm(a - (a @ v_k) @ v_k.T)
     want = np.sqrt(np.sum(np.linalg.svd(a, compute_uv=False)[k:] ** 2))
     assert res.ratio == pytest.approx(err / want, rel=1e-10)
+
+
+def test_lowrank_k_above_the_exact_rank_keeps_v_k_orthonormal():
+    # B = AQ has rank 3 < k, so V_k takes directions of B's zero singular values
+    a = gen_low_rank_plus_noise(100, 30, 3, 0.0, Prng(175))
+    k = 5
+    opt = best_rank_k_error(a, k)
+    op = gaussian_sketch_new(100, 12, Prng(176))
+    res = lowrank_approx(a, k, op, opt)
+    assert res.rank_deficient
+    assert fro(res.V_k.T @ res.V_k - np.eye(k)) < 1e-13
+    # the numpy.linalg route of the test above: both errors are at rounding level,
+    # which the ratio convention reads as zero, so its ratio is 1.0 too
+    q = np.linalg.qr(sketch_apply(op, a).T)[0]
+    v_k = q @ np.linalg.svd(a @ q, full_matrices=False)[2][:k].T
+    err = np.linalg.norm(a - (a @ v_k) @ v_k.T)
+    want = np.sqrt(np.sum(np.linalg.svd(a, compute_uv=False)[k:] ** 2))
+    assert max(err, want, opt) <= 1e-10 * fro(a)
+    assert res.ratio == 1.0
 
 
 def test_lowrank_validates():
