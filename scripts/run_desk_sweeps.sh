@@ -1,7 +1,8 @@
 #!/bin/sh
-# Desk-scale versions of the two headline sweeps, written into out/.
-# Single-threaded on a 2-vCPU Xeon they took 12-15 s, 5-6 s and under 1 s, in
-# the order below; pass a thread count as $1.
+# Desk-scale versions of the three headline sweeps, written into out/.
+# Single-threaded on a 2-vCPU Xeon, BLAS on one thread too, they took
+# 2.2-2.4 s, 2.9-3.4 s and 0.3 s, in the order below, each with Python's
+# start-up; pass a thread count as $1.
 set -e
 threads="${1:-1}"
 mkdir -p out

@@ -18,8 +18,9 @@ configs at s = 1, 2, 3 and 4 and runs those, which puts the block-row draw
 under the byte check at every degree up to 4; at s = 2, m = 16 and 24,
 4-40% of trials fail, so trials that the greedy pass stalls on and Kuhn's
 search rejects reach the rows.  Every workload's ``lowrank-sweep`` has
-m <= d, so it also runs one at m = 12 and 48 on a 200 x 24 input, where
-m > d takes the Gram-product branch of ``lowrank_approx``.  It compares CSV columns 1-14
+m < d, so it also runs one at m = 12, 23 and 24 on a 200 x 24 input,
+where the rows at m_effective >= d are skip rows (``graph:s=2`` rounds 23
+up to 24, ``gaussian`` keeps it).  It compares CSV columns 1-14
 (every column but ``wall_time_ms``) and any witness file byte for byte,
 prints one line per (step, threads, seed), and exits 1 if any run fails or
 any output differs.  When rows differ only in column 14, ``metric_value``,
@@ -101,12 +102,13 @@ def magical_delta_steps(tmp: Path) -> list[tuple[str, Step]]:
 
 
 def lowrank_steps(tmp: Path) -> list[tuple[str, Step]]:
-    """One lowrank-sweep step with one m on each side of d = 24, on a config
-    written here: at m = 48 > d the basis comes from the QR of YᵀY."""
-    cfg = tmp / "lowrank-m-past-d.cfg"
+    """One lowrank-sweep step with m on both sides of d = 24, on a config
+    written here: m_effective = 23 still builds a basis, m_effective = 24
+    gives a skip row."""
+    cfg = tmp / "lowrank-m-to-d.cfg"
     cfg.write_text("input = gen:lowrank:200x24:4:0.01\nmethods = graph:s=2,gaussian\n"
-                   "k = 4\nm_values = 12,48\ntrials = 2\n")
-    return [("lowrank-m-past-d", Step("lowrank-sweep", str(cfg), None, 1))]
+                   "k = 4\nm_values = 12,23,24\ntrials = 2\n")
+    return [("lowrank-m-to-d", Step("lowrank-sweep", str(cfg), None, 1))]
 
 
 def extract(base: str, dest: Path) -> None:

@@ -418,7 +418,7 @@ def run_lowrank_sweep(cfg: ExperimentConfig):
     n, d = a.shape
     for method in cfg.methods:
         for m in cfg.m_values:
-            if min(method.effective_m(m), d) > n:
+            if n < method.effective_m(m) < d:
                 raise ConfigError(f"{method.label} at m={m} needs a basis wider than the "
                                   f"{n} rows of the {n}x{d} input")
     # the Eckart-Young optimum: one A for every unit; refuses an out-of-range k
@@ -429,6 +429,9 @@ def run_lowrank_sweep(cfg: ExperimentConfig):
             # too few sketch rows to capture a rank-k subspace; emit a
             # warning row instead of aborting the sweep
             return "skipped_m_below_k", 1.0, None
+        if m_eff >= d:
+            # a basis of all of R^d makes the ratio 1 whatever the sketch
+            return "skipped_m_not_below_d", 1.0, None
         op = method.build(n, m_eff, stream, cfg.row_mode)
         return "lowrank_ratio", lowrank_approx(a, cfg.k, op, optimal).ratio, None
 

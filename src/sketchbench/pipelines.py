@@ -12,11 +12,10 @@ passes it in.
 The low-rank route follows the five quoted steps of the range-finder:
 Y = SA, thin QR of Yᵀ, B = AQ, rank-k SVD of B, V_k = Q @ W_k (writing W_k
 for B's right singular vectors, since the final output is also called V_k).
-When the sketch has more rows than A has columns the thin QR of Yᵀ does not
-exist; the basis is then capped at d directions, taken from the QR of the
-d x d Gram product Yᵀ Y, whose columns span the same row space.  A basis
-wider than A has rows is refused: Y then has rank at most n, and the QR
-would fill the basis with directions the sketch never saw.
+It is a sketch only while k <= m < d: at m >= d the basis spans all of
+R^d and the error is the optimum whatever S is, so such an m is refused.
+So is m > n: Y then has rank at most n, and the QR would fill the basis
+with directions the sketch never saw.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (LstsqFactor, _as_matrix, _norm, _prescale, lstsq_exact, numerical_rank,
-                     singular_values, svd, thin_qr)
+from .linalg import (LstsqFactor, _as_matrix, _norm, lstsq_exact, numerical_rank, singular_values,
+                     svd, thin_qr)
 from .sketch import SketchOperator, sketch_apply
 
 _ZERO_REL = 1e-10
@@ -100,12 +99,11 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
 
     The operator is applied to A from the left (its column count must equal
     A's row count), so Y = SA summarizes A's rows.  ``optimal_error`` is
-    ``best_rank_k_error(a, k)``, made once per A.  Requires m >= k,
-    1 <= k <= min(n, d) and min(m, d) <= n.  A sketch whose numerical rank
-    falls below k is flagged ``rank_deficient`` and the pipeline continues
-    with the trailing basis directions rather than aborting.  The column
-    signs of ``V_k`` are not normalized (see ``linalg``); the error and
-    ratio do not depend on them.
+    ``best_rank_k_error(a, k)``, made once per A.  Requires k <= m < d and
+    m <= n.  A sketch whose numerical rank falls below k is flagged
+    ``rank_deficient`` and the pipeline continues with the trailing basis
+    directions rather than aborting.  The column signs of ``V_k`` are not
+    normalized (see ``linalg``); the error and ratio do not depend on them.
     """
     a = _as_matrix(a)
     n, d = a.shape
@@ -114,16 +112,12 @@ def lowrank_approx(a, k: int, op: SketchOperator, optimal_error: float) -> LowRa
     m = op.m
     if m < k:
         raise ValueError(f"sketch rows m={m} must be at least k={k}")
-    if min(m, d) > n:
-        raise ValueError(f"basis of min(m, d)={min(m, d)} directions exceeds the {n} rows of A")
-    # Y's power of two is exact and keeps the Gram product Yᵀ Y in range
-    y = _prescale(sketch_apply(op, a))[0]
-    if m <= d:
-        q, r = thin_qr(y.T)
-    else:
-        # thin QR of the d x m transpose does not exist; the d x d Gram
-        # product spans the same row space and caps the basis at d
-        q, r = thin_qr(y.T @ y)
+    if m >= d:
+        raise ValueError(f"sketch rows m={m} must be below the d={d} columns of A: "
+                         "a basis of all of R^d gives the optimum whatever the sketch")
+    if m > n:
+        raise ValueError(f"basis of m={m} directions exceeds the {n} rows of A")
+    q, r = thin_qr(sketch_apply(op, a).T)
     rank_deficient = numerical_rank(np.diag(r)) < k
     b = a @ q
     w_k = svd(b).V[:, :k]

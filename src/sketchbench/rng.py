@@ -353,17 +353,17 @@ def _horner_mersenne61(coeffs: list[np.uint64], x: np.ndarray) -> np.ndarray:
 class KwiseHash:
     """Polynomial hash over a prime field: h(x) = (sum_i c_i x^i mod p) mod range.
 
-    Coefficients drawn uniformly from [0, p) give a gamma-wise independent
-    family over the field (before the final reduction mod ``out_range``).
-    ``sample`` draws over 2^61 - 1, where the reduction bias (below range/p)
-    is ignored; tiny primes exist for exhaustive enumeration tests.
+    Gamma coefficients drawn uniformly from [0, p) give a gamma-wise
+    independent family over the field (before the final reduction mod
+    ``out_range``).  ``sample`` draws over 2^61 - 1, where the reduction
+    bias (below range/p) is ignored; tiny primes exist for exhaustive
+    enumeration tests.
 
     The prime is 2^61 - 1 or below 2^32, and any other is refused at
     construction: those are the two fields whose Horner step ``eval_many``
     computes exactly in uint64, by Mersenne limbs or directly.
     """
 
-    gamma: int
     prime: int
     coefficients: tuple[int, ...]
     out_range: int
@@ -378,7 +378,7 @@ class KwiseHash:
         if out_range < 1:
             raise ValueError(f"out_range must be >= 1, got {out_range}")
         coeffs = tuple(int(c) for c in rng.integers_below(MERSENNE61, gamma))
-        return cls(gamma=gamma, prime=MERSENNE61, coefficients=coeffs, out_range=out_range)
+        return cls(prime=MERSENNE61, coefficients=coeffs, out_range=out_range)
 
     def __call__(self, x: int) -> int:
         """The scalar reference: Horner's rule on Python integers."""

@@ -241,7 +241,7 @@ def test_c08_sketched_least_squares_quality():
 def test_c09_lowrank_exact_and_noisy_quality():
     rng = Prng(28_000)
     a0 = gen_low_rank_plus_noise(200, 30, 5, 0.0, rng.split(0))
-    res = lowrank_approx(a0, 5, graph_sketch_new(200, 40, 2, rng.split(1)),
+    res = lowrank_approx(a0, 5, graph_sketch_new(200, 20, 2, rng.split(1)),
                          best_rank_k_error(a0, 5))
     exact_ok = (not res.rank_deficient) and abs(res.ratio - 1.0) <= 1e-8
 
@@ -319,7 +319,7 @@ def test_c11a_hash_family_exactly_uniform():
         for gamma in (1, 2, 3):
             counts = np.zeros((p, p), dtype=np.int64)
             for coeffs in itertools.product(range(p), repeat=gamma):
-                h = KwiseHash(gamma=gamma, prime=p, coefficients=tuple(coeffs), out_range=p)
+                h = KwiseHash(prime=p, coefficients=tuple(coeffs), out_range=p)
                 for x in range(p):
                     counts[x, h(x)] += 1
             assert np.all(counts == p ** (gamma - 1)), (p, gamma)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import sketch_densify
 
 from sketchbench import cli, pipelines
 from sketchbench.cli import (
@@ -416,7 +417,7 @@ def test_rank_deficient_matrix_market_input_exits_4_before_the_output_opens(tmp_
 @pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
 @pytest.mark.parametrize("command, extra", [
     ("distortion-sweep", {}),
-    # m = 12 <= d = 24 takes the QR of Yᵀ, m = 48 > d the Gram product Yᵀ Y
+    # m = 12 and 20 are both below d = 24, so both build a basis
     ("lowrank-sweep", {"k": "5"}),
 ])
 def test_sweeps_on_a_file_scaled_by_a_power_of_two_give_the_unscaled_values(tmp_path, command,
@@ -428,10 +429,48 @@ def test_sweeps_on_a_file_scaled_by_a_power_of_two_give_the_unscaled_values(tmp_
         mtx = tmp_path / f"{name}.mtx"
         write_matrix_market(scale * a, str(mtx))
         out = tmp_path / f"{name}.csv"
-        cfg = _write_sweep_cfg(tmp_path, input=str(mtx), m_values="12,48", **extra)
+        cfg = _write_sweep_cfg(tmp_path, input=str(mtx), m_values="12,20", **extra)
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         values.append([row[13] for row in _rows(out)])
     assert len(values[0]) == 8 and values[0] == values[1]
+
+
+def _lsq_oracle(a, row):
+    """numpy.linalg's lsq-bench ratio for one CSV row, on A and b each divided
+    by a power of two near its largest entry: the residuals then scale
+    together, so the ratio is the one of A and b, and no square overflows."""
+    method = parse_method(row[2])
+    stream = cli._trial_stream(Prng(int(row[11])), "lsq-bench", row[2], int(row[7]), int(row[10]))
+    n, d = a.shape
+    sketch = sketch_densify(method.build(n, int(row[8]), stream.split(0), "block"))
+    b = a @ stream.split(1).normal(d) + 0.1 * stream.split(2).normal(n)
+    a, b = (np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1]) for x in (a, b))
+    x_tilde = np.linalg.lstsq(sketch @ a, sketch @ b, rcond=None)[0]
+    x_star = np.linalg.lstsq(a, b, rcond=None)[0]
+    sketched, optimal = (np.linalg.norm(a @ x - b) for x in (x_tilde, x_star))
+    zero = 1e-10 * np.linalg.norm(b)
+    return 1.0 if max(sketched, optimal) <= zero else sketched / optimal
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1.0, 2.0**600, 2.0**-600])
+def test_lsq_bench_on_a_file_scaled_by_a_power_of_two_matches_numpy(tmp_path, c):
+    # b = A x0 + 0.1 z does not scale with A, so each scale has its own values
+    a = c * Prng(41).normal(300 * 8).reshape(300, 8)
+    mtx = tmp_path / "a.mtx"
+    write_matrix_market(a, str(mtx))
+    out = tmp_path / "x.csv"
+    cfg = _write_sweep_cfg(tmp_path, input=str(mtx), methods="graph:s=2,gaussian",
+                           m_values="40,80")
+    assert main(["lsq-bench", "--config", cfg, "--out", str(out)]) == 0
+    rows = _rows(out)
+    got = [float(r[13]) for r in rows]
+    want = [_lsq_oracle(a, r) for r in rows]
+    assert len(got) == 8
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    if c > 1.0:
+        # the 0.1 z noise is below 1e-10 ||b||, so both residuals count as zero
+        assert got == [1.0] * 8
 
 
 def test_coordinate_and_array_files_give_the_same_rows(tmp_path):
@@ -527,6 +566,22 @@ def test_lowrank_sweep_emits_skip_rows(tmp_path):
     assert all(r[12] == "skipped_m_below_k" for r in small)
     assert all(r[12] == "lowrank_ratio" for r in big)
     assert all(float(r[13]) >= 1.0 - 1e-12 for r in big)
+
+
+def test_lowrank_sweep_skips_m_effective_at_or_above_d(tmp_path):
+    # graph:s=2 rounds m = 23 up to d = 24, where the basis spans all of R^24
+    cfg = _write_sweep_cfg(tmp_path, input="gen:lowrank:96x24:4:0.01", m_values="8,23,24,40",
+                           k="4", methods="graph:s=2,gaussian")
+    out = tmp_path / "lr.csv"
+    assert main(["lowrank-sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = _rows(out)
+    skipped = [r for r in rows if r[12] == "skipped_m_not_below_d"]
+    assert {(r[2], r[7], r[8]) for r in skipped} == {
+        ("graph:s=2", "23", "24"), ("graph:s=2", "24", "24"), ("graph:s=2", "40", "40"),
+        ("gaussian", "24", "24"), ("gaussian", "40", "40")}
+    assert all(r[13] == "1.0" for r in skipped)
+    assert {(r[2], r[8]) for r in rows if r[12] == "lowrank_ratio"} == {
+        ("graph:s=2", "8"), ("gaussian", "8"), ("gaussian", "23")}
 
 
 def test_lowrank_sweep_k_out_of_range(tmp_path):
@@ -648,11 +703,11 @@ def test_magical_delta_row_per_m(tmp_path):
                   "trials = 2\nrow_mode = subset\nseed = 42\n",
      {("lsq_ratio", True)},
      "9eb9647fea2394ef33e5813c2b3849daeda6418aae3fedec8d3c1c7525837352", None),
-    # m_eff = 2 < k skips; m = 24 > d = 16 takes the Gram branch
+    # m_eff = 2 < k and m = 24 > d = 16 skip
     ("lowrank-sweep", "input = gen:lowrank:120x16:4:0.01\nmethods = graph:s=2,graph:s=4:gamma=4\n"
                       "m_values = 2,8,24\nk = 4\ntrials = 2\nseed = 42\n",
-     {("skipped_m_below_k", True), ("lowrank_ratio", True)},
-     "68cd82f898b8ea39194828c75a54a23de21d818c7572163631cea12c5e7f4072", None),
+     {("skipped_m_below_k", True), ("skipped_m_not_below_d", True), ("lowrank_ratio", True)},
+     "d716368c0e1b63106c5a397e798d38c0e4e6f5401e59cf64fa95a0456ae4614a", None),
 ], ids=["magical-delta", "verify-graph", "distortion-sweep", "lsq-bench", "lowrank-sweep"])
 def test_graph_command_bytes_are_pinned(tmp_path, command, cfg_text, outcomes, csv_digest,
                                         witness_digest):

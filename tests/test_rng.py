@@ -433,7 +433,7 @@ def test_integers_below_always_in_range(bound):
 
 def test_hash_pinned_degree1_mod5():
     # coefficients[i] multiplies x**i, so this is (2 + 3x) mod 5
-    h = KwiseHash(gamma=2, prime=5, coefficients=(2, 3), out_range=5)
+    h = KwiseHash(prime=5, coefficients=(2, 3), out_range=5)
     assert h(0) == 2
     assert h(1) == 0
     assert h(4) == 4
@@ -441,13 +441,13 @@ def test_hash_pinned_degree1_mod5():
 
 def test_hash_pinned_degree1_small_range():
     # (1 + 2x) mod 5, then mod 3
-    h = KwiseHash(gamma=2, prime=5, coefficients=(1, 2), out_range=3)
+    h = KwiseHash(prime=5, coefficients=(1, 2), out_range=3)
     assert h(0) == 1
     assert h(3) == 2
 
 
 def test_hash_rejects_out_of_field_input():
-    h = KwiseHash(gamma=2, prime=5, coefficients=(1, 2), out_range=5)
+    h = KwiseHash(prime=5, coefficients=(1, 2), out_range=5)
     with pytest.raises(ValueError):
         h(5)
     with pytest.raises(ValueError):
@@ -475,8 +475,7 @@ def test_hash_eval_many_matches_scalar():
 @pytest.mark.parametrize("gamma", range(1, 9))
 def test_hash_eval_many_largest_product(gamma):
     # every Horner step multiplies (p - 1) by (p - 1) and adds p - 1
-    h = KwiseHash(gamma=gamma, prime=MERSENNE61, coefficients=(MERSENNE61 - 1,) * gamma,
-                  out_range=2**40)
+    h = KwiseHash(prime=MERSENNE61, coefficients=(MERSENNE61 - 1,) * gamma, out_range=2**40)
     assert h.eval_many([MERSENNE61 - 1]).tolist() == [h(MERSENNE61 - 1)]
 
 
@@ -484,7 +483,7 @@ def test_hash_eval_many_largest_product(gamma):
 @pytest.mark.parametrize("gamma", [1, 2, 4, 8])
 def test_hash_eval_many_matches_scalar_small_primes(prime, gamma):
     coeffs = tuple(int(c) for c in Prng(prime + gamma).integers_below(prime, gamma))
-    h = KwiseHash(gamma, prime, coefficients=coeffs, out_range=17)
+    h = KwiseHash(prime, coefficients=coeffs, out_range=17)
     xs = sorted(set(range(min(prime, 2000))) | set(range(prime - 1, max(prime - 3001, -1), -1)))
     assert h.eval_many(np.array(xs)).tolist() == [h(x) for x in xs]
 
@@ -496,8 +495,7 @@ def test_hash_eval_many_matches_scalar_small_primes(prime, gamma):
 )
 @settings(max_examples=200, deadline=None)
 def test_hash_eval_many_matches_scalar_any_coefficients(coeffs, xs, out_range):
-    h = KwiseHash(gamma=len(coeffs), prime=MERSENNE61, coefficients=tuple(coeffs),
-                  out_range=out_range)
+    h = KwiseHash(prime=MERSENNE61, coefficients=tuple(coeffs), out_range=out_range)
     assert h.eval_many(xs).tolist() == [h(x) for x in xs]
 
 
@@ -526,17 +524,16 @@ def test_hash_eval_many_empty_input():
 def test_hash_eval_many_reduces_coefficients_like_scalar():
     # a hand-built hash may hold coefficients at or above p; both paths reduce them
     for prime in (MERSENNE61, 103):
-        h = KwiseHash(gamma=3, prime=prime, coefficients=(prime, 2 * prime + 5, 2**64 + 3),
-                      out_range=1000)
+        h = KwiseHash(prime=prime, coefficients=(prime, 2 * prime + 5, 2**64 + 3), out_range=1000)
         xs = [0, 1, 2, prime - 1]
         assert h.eval_many(xs).tolist() == [h(x) for x in xs]
 
 
 def test_hash_prime_rule():
     # below 2^32 the Horner step fits uint64 directly, and 2^61 - 1 has its limbs
-    KwiseHash(gamma=2, prime=2**31 + 11, coefficients=(1, 2), out_range=5)
+    KwiseHash(prime=2**31 + 11, coefficients=(1, 2), out_range=5)
     with pytest.raises(ValueError, match="prime"):
-        KwiseHash(gamma=2, prime=2**40 + 15, coefficients=(1, 2), out_range=5)
+        KwiseHash(prime=2**40 + 15, coefficients=(1, 2), out_range=5)
 
 
 def test_hash_sample_coefficient_count_and_field():
@@ -572,7 +569,7 @@ def test_hash_family_exactly_gamma_wise_uniform(prime, gamma):
     counts = {}
     total = 0
     for coeffs in product(range(prime), repeat=gamma):
-        h = KwiseHash(gamma=gamma, prime=prime, coefficients=coeffs, out_range=prime)
+        h = KwiseHash(prime=prime, coefficients=coeffs, out_range=prime)
         key = tuple(h(x) for x in points)
         counts[key] = counts.get(key, 0) + 1
         total += 1
@@ -583,7 +580,7 @@ def test_hash_family_exactly_gamma_wise_uniform(prime, gamma):
 
 def test_hash_horner_matches_naive_polynomial():
     coeffs = tuple(int(c) for c in Prng(16).integers_below(103, 3))
-    h = KwiseHash(gamma=3, prime=103, coefficients=coeffs, out_range=101)
+    h = KwiseHash(prime=103, coefficients=coeffs, out_range=101)
     c0, c1, c2 = h.coefficients
     for x in range(103):
         naive = (c0 + c1 * x + c2 * x * x) % 103 % 101
