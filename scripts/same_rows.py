@@ -17,7 +17,11 @@ trees so the ``dataset`` column matches.  It also writes ``magical-delta``
 configs at s = 1, 2, 3 and 4 and runs those, which puts the block-row draw
 under the byte check at every degree up to 4; at s = 2, m = 16 and 24,
 4-40% of trials fail, so trials that the greedy pass stalls on and Kuhn's
-search rejects reach the rows.  Every workload's ``lowrank-sweep`` has
+search rejects reach the rows.  The subset draw's step mask, the bit width
+of its bound, changes inside a subset in no workload, so it also runs
+``magical-delta`` at n = 260, k = 12 (masks 511, then 255) and
+``verify-graph`` in the subset row mode at m = 66, s = 4 (masks 127, then
+63).  Every workload's ``lowrank-sweep`` has
 m < d, so it also runs one at m = 12, 23 and 24 on a 200 x 24 input,
 where the rows at m_effective >= d are skip rows (``graph:s=2`` rounds 23
 up to 24, ``gaussian`` keeps it).  It compares CSV columns 1-14
@@ -92,13 +96,27 @@ def magical_delta_steps(tmp: Path) -> list[tuple[str, Step]]:
     """One magical-delta step at each degree s in {1, 2, 3, 4}, on configs
     written here (n = 300, k = 12, 200 trials), at sizes m where the failure
     rate is neither 0 nor 1, so that the rows depend on the drawn rows and
-    on Kuhn's search where the greedy matching stalls."""
+    on Kuhn's search where the greedy matching stalls.  One more at s = 2
+    and n = 260, where the subset draw's bounds run from 260 down to 249,
+    so its step masks fall from 511 to 255 inside each subset."""
     steps = []
-    for s, m_values in ((1, "48,96"), (2, "16,24"), (3, "12,15"), (4, "12")):
-        cfg = tmp / f"magical-delta-s{s}.cfg"
-        cfg.write_text(f"n = 300\ns = {s}\nk = 12\nm_values = {m_values}\ntrials = 200\n")
-        steps.append((f"magical-delta-s{s}", Step("magical-delta", str(cfg), None, 1)))
+    for name, n, s, m_values in (("s1", 300, 1, "48,96"), ("s2", 300, 2, "16,24"),
+                                 ("s3", 300, 3, "12,15"), ("s4", 300, 4, "12"),
+                                 ("s2-n260", 260, 2, "16,24")):
+        cfg = tmp / f"magical-delta-{name}.cfg"
+        cfg.write_text(f"n = {n}\ns = {s}\nk = 12\nm_values = {m_values}\ntrials = 200\n")
+        steps.append((f"magical-delta-{name}", Step("magical-delta", str(cfg), None, 1)))
     return steps
+
+
+def subset_mask_steps(tmp: Path) -> list[tuple[str, Step]]:
+    """One verify-graph step in the subset row mode at m = 66, s = 4, on a
+    config written here: each column's rows are drawn below 66, 65, 64 and
+    63, so the step mask falls from 127 to 63 inside every subset."""
+    cfg = tmp / "verify-graph-m66.cfg"
+    cfg.write_text("n = 60\ns = 4\nk = 2\neps = 0.5\nm_values = 66\ntrials = 3\n"
+                   "row_mode = subset\n")
+    return [("verify-graph-m66", Step("verify-graph", str(cfg), None, 1))]
 
 
 def lowrank_steps(tmp: Path) -> list[tuple[str, Step]]:
@@ -170,6 +188,7 @@ def main(argv=None) -> int:
         steps += [("witness", step) for step in WITNESS_STEPS]
         steps += matrix_market_steps(Path(tmp))
         steps += magical_delta_steps(Path(tmp))
+        steps += subset_mask_steps(Path(tmp))
         steps += lowrank_steps(Path(tmp))
         for wl_name, step in steps:
             for seed in SEEDS:

@@ -163,7 +163,7 @@ def _first_violating_pair(left, right, degrees, limit) -> tuple[int, int] | None
     return None
 
 
-def _augment(adj: dict[int, list[int]], match: dict[int, int], root: int) -> bool:
+def _augment(adj: list[list[int]], match: dict[int, int], root: int) -> bool:
     """Find an augmenting path from the free left vertex root and apply it.
 
     Depth first on a stack of (left vertex, neighbor iterator) pairs; a right
@@ -200,11 +200,16 @@ def max_matching_covers(g: BipartiteGraph, c) -> bool:
     A repeated id would need two matches and gives False.
     """
     ids = _check_left_ids(g, c)
-    adj = {u: g.adjacency[u].tolist() for u in ids}
-    if len(adj) < len(ids):
+    if len(set(ids)) < len(ids):
         return False
+    return _covers(g.adjacency[ids].tolist())
+
+
+def _covers(adj: list[list[int]]) -> bool:
+    """True iff some matching saturates every left vertex 0..len(adj)-1, where
+    ``adj[u]`` lists the right vertices of u: Kuhn's search from each in turn."""
     match: dict[int, int] = {}  # right vertex -> left vertex
-    return all(_augment(adj, match, u) for u in adj)
+    return all(_augment(adj, match, u) for u in range(len(adj)))
 
 
 def estimate_magical_delta(
@@ -218,11 +223,12 @@ def estimate_magical_delta(
     by one ``_subsets`` call, and the rows of only each subset's k columns
     from all trials' row streams (``_block_mode_rows``).  The matching check
     runs on the k-vertex graph those columns span.  One greedy pass over the
-    whole batch (``_greedy_stalls``) covers most trials; ``max_matching_covers``
-    decides only the trials where it stalls, so the count is the one a Kuhn
-    search on every trial gives.  No signs are drawn.  This estimates the
-    failure probability delta of Definition-2 style coverage; it samples
-    subsets rather than quantifying over all of them.
+    whole batch (``_greedy_stalls``) covers most trials; Kuhn's search
+    (``_covers``, the core of ``max_matching_covers``) decides only the
+    trials where it stalls, on their rows as lists, so the count is the one
+    a Kuhn search on every trial gives.  No signs are drawn.  This
+    estimates the failure probability delta of Definition-2 style coverage;
+    it samples subsets rather than quantifying over all of them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -232,8 +238,7 @@ def estimate_magical_delta(
     trial_seeds = _split_seeds(rng.seed, np.arange(trials))
     cols = _subsets(trial_seeds, 0, n, k, 1)[0][:, 0]
     rows = _block_mode_rows(_split_seeds(trial_seeds, _ROW_STREAM), n, m, s, cols)
-    failures = sum(not max_matching_covers(BipartiteGraph(k, m, s, adjacency=rows[t]), range(k))
-                   for t in np.flatnonzero(_greedy_stalls(rows)))
+    failures = sum(not _covers(adj) for adj in rows[_greedy_stalls(rows)].tolist())
     return failures / trials
 
 

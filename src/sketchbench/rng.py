@@ -33,11 +33,13 @@ one block per chunk of streams, every chunk into the same held block (a
 further block only when a stream of the chunk falls short);
 ``integers_below`` is its one-stream case.  ``_subsets``
 runs partial Fisher-Yates with that rule, ``count`` subsets in a row on many
-streams at once: it draws one block per chunk of streams and walks it as
-Python ints, a stream drawing a further block only when it runs short;
-``subset`` is its one-stream, one-subset case.  All of them set the counter
-just after the last draw they used, so values and stream position are those
-of drawing one value at a time.
+streams at once: it draws one block per chunk of streams (the streams that
+run short draw a further block together), settles as arrays every draw
+whose acceptance does not depend on its step, walks only the others as
+Python ints, and resolves the swaps of all subsets as arrays; ``subset`` is
+its one-stream, one-subset case.  All of them set the counter just after
+the last draw they used, so values and stream position are those of
+drawing one value at a time.
 
 ``KwiseHash`` evaluates its polynomial by Horner's rule, in ``__call__`` on
 Python integers for one key and in ``eval_many`` on uint64 arrays for many.
@@ -260,52 +262,152 @@ def _subsets(
 
     Streams are taken as many at a time as fit ``_DRAW_CHUNK`` draws, and
     each chunk draws one (stream x counter) block, sized for the expected
-    need plus a margin, which the shuffle walks as Python ints.  A stream
-    that uses up its row draws its own next block, at most ``_DRAW_CHUNK``
-    long; values never depend on the block sizes.
+    need plus a margin.  ``_accepted`` finds the draws that bitmask
+    rejection accepts, settling in Python only those whose acceptance
+    depends on their step.  Stream r's a-th accepted draw serves step
+    i = a mod K of subset a // K (K steps a subset) and targets i + (draw &
+    mask_i).  The streams still short of count * K accepted draws draw
+    their next block together, sized for the largest shortfall; values
+    never depend on the block sizes.  ``_swap_results`` then resolves the
+    swaps of every (stream, subset) at once.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     out = np.empty((len(seeds), count, k), dtype=np.int64)
     ends = np.full(len(seeds), start, dtype=np.int64)
-    steps = [(i, n - i, (1 << (n - i - 1).bit_length()) - 1) for i in range(k) if n - i > 1]
-    if not steps or count == 0:
+    steps = min(k, n - 1)  # step i draws below n - i when that is above 1
+    if steps <= 0 or count == 0:
         out[...] = np.arange(k)
         return out, ends
-    per_subset = sum((mask + 1) / bound for _, bound, mask in steps)  # expected draws
+    bounds = [n - i for i in range(steps)]
+    masks = [(1 << (bound - 1).bit_length()) - 1 for bound in bounds]
+    per_subset = sum((mask + 1) / bound for bound, mask in zip(bounds, masks))  # expected draws
+    need = count * steps  # accepted draws per stream
 
     def length(subsets: int) -> int:
         expected = math.ceil(per_subset * subsets)
         return min(expected + 3 * math.isqrt(expected) + 8, _DRAW_CHUNK)
 
+    step_masks = np.array(masks, dtype=np.uint64)
     first = length(count)
     per_chunk = max(1, _DRAW_CHUNK // first)
-    positions = range(k)
     for lo in range(0, len(seeds), per_chunk):
-        block = _splitmix(seeds[lo:lo + per_chunk], start, first).tolist()
-        flat: list[int] = []
-        for r, row in enumerate(block, lo):
-            base, pos = start, 0  # row[0] is the draw after counter base
-            for c in range(count):
-                swapped: dict[int, int] = {}
-                for i, bound, mask in steps:
-                    while True:
-                        try:
-                            cand = row[pos] & mask
-                        except IndexError:
-                            base += len(row)
-                            row = _splitmix(seeds[r:r + 1], base, length(count - c))[0].tolist()
-                            pos = 0
-                            continue
-                        pos += 1
-                        if cand < bound:
-                            break
-                    j = i + cand
-                    swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
-                flat += map(swapped.get, positions, positions)
-            ends[r] = base + pos
-        out[lo:lo + len(block)] = np.array(flat, dtype=np.int64).reshape(-1, count, k)
+        chunk = np.arange(lo, min(lo + per_chunk, len(seeds)))
+        targets = np.empty((len(chunk), need), dtype=np.int64)
+        taken = np.zeros(len(chunk), dtype=np.int64)  # accepted draws so far
+        live, base, size = np.arange(len(chunk)), start, first
+        while True:
+            block = _splitmix(seeds[chunk[live]], base, size)
+            hits = _accepted(block, taken[live], bounds, masks)
+            # each live row's first entry in hits, then the end of the last
+            heads = np.searchsorted(hits, size * np.arange(len(live) + 1))
+            have, before = heads[1:] - heads[:-1], taken[live]
+            # the a-th accepted draw of row r, for a from before[r] up to need
+            wanted = np.minimum(have, need - before)
+            r, c = np.nonzero(np.arange(min(need, size)) < wanted[:, None])
+            a = before[r] + c
+            i = a % steps
+            draws = block.ravel()[hits[heads[r] + c]]
+            targets[live[r], a] = i + (draws & step_masks[i]).view(np.int64)
+            taken[live] = before + have
+            done = taken[live] >= need
+            last = hits[heads[:-1][done] + (need - 1 - before[done])]
+            ends[chunk[live[done]]] = base + last % size + 1
+            live = live[~done]
+            if not live.size:
+                break
+            base += size
+            size = length(-(-(need - int(taken[live].min())) // steps))
+        swapped = _swap_results(targets.reshape(-1, steps), k)
+        out[chunk] = swapped.reshape(len(chunk), count, k)
     return out, ends
+
+
+def _accepted(block: np.ndarray, taken: np.ndarray, bounds: list[int],
+              masks: list[int]) -> np.ndarray:
+    """Flat indices, in row-major order, of the draws of ``block`` that are accepted.
+
+    ``block`` holds one row of draws per stream.  Row r's draw that follows
+    a accepted draws of the row, taken[r] of them before the block, is
+    tested at step i = a mod len(bounds) and accepted when draw & masks[i]
+    < bounds[i].  The steps that share a mask have bounds from some lo to
+    some hi, so under each distinct mask a draw is accepted at every such
+    step (below lo), rejected at every one (hi or above), or neither.  A
+    draw accepted under every mask, or rejected under every mask, is
+    settled whatever its step; only the others are walked, in stream
+    order, as Python ints.
+    """
+    spans: dict[int, list[int]] = {}  # mask: [lo, hi]
+    for bound, mask in zip(bounds, masks):  # bounds fall, so the first is hi
+        spans.setdefault(mask, [bound, bound])[0] = bound
+    sure, maybe = True, False
+    for mask, (lo, hi) in spans.items():
+        value = block & np.uint64(mask)
+        sure = sure & (value < lo)
+        maybe = maybe | (value < hi)
+    pending = np.flatnonzero(maybe & ~sure)  # acceptance depends on the step
+    if pending.size:
+        size = block.shape[1]
+        rows = pending // size
+        # the sure draws of a row before a pending one: those before it less those before the row
+        ones = np.flatnonzero(sure)
+        before = np.searchsorted(ones, pending) - np.searchsorted(ones, rows * size) + taken[rows]
+        steps, row, extra, keep = len(bounds), -1, 0, []
+        for x, (r, a, draw) in enumerate(zip(rows.tolist(), before.tolist(),
+                                              block.ravel()[pending].tolist())):
+            if r != row:
+                row, extra = r, 0
+            i = (a + extra) % steps
+            if draw & masks[i] < bounds[i]:
+                extra += 1
+                keep.append(x)
+        sure.ravel()[pending[keep]] = True
+    return np.flatnonzero(sure)
+
+
+def _swap_results(targets: np.ndarray, k: int) -> np.ndarray:
+    """Positions 0..k-1 after partial Fisher-Yates on range(n), one row per shuffle.
+
+    Row q's step t swaps position t with ``targets[q, t]`` (at least t), for
+    t below targets.shape[1], which is k, or k - 1 when k = n (the last
+    position takes no draw).  Step t fixes position t for good, so the
+    result at t is what position targets[q, t] holds just before step t.
+    Position p holds, before step b, the value f(t) moved there by the
+    latest step t < b that targeted p, else p; and f(t), what position t
+    holds just before step t, is by the same rule f(t') or t.  One stable
+    sort per row groups the targets by position with a read of position b
+    before step b ordered among them, each item's predecessor in its group
+    names the step it reads from, and pointer doubling follows those links
+    to f.
+    """
+    rows, steps = targets.shape
+    out = np.empty((rows, k), dtype=np.int64)
+    out[:, :steps] = targets
+    out[:, steps:] = np.arange(steps, k)
+    # a row whose targets are distinct and all k or above reads each fresh
+    ranked = np.sort(out, axis=1)
+    busy = np.flatnonzero((ranked[:, 0] < k) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    to = out[busy]
+    # item 2b reads position b before step b; item 2t + 1 is step t's target
+    items = np.empty((len(busy), 2 * k), dtype=np.int64)
+    items[:, 0::2] = np.arange(k)
+    items[:, 1::2] = to
+    order = np.argsort(items, axis=1, kind="stable")
+    grouped = np.sort(items, axis=1)
+    r, x = np.nonzero(grouped[:, 1:] == grouped[:, :-1])
+    # links and sources as indices into the flattened busy rows
+    item, prev = order[r, x + 1], order[r, x] // 2 + r * k
+    reads, at = item % 2 == 0, item // 2 + r * k
+    link = np.arange(to.size)  # f(b) = f(link[b]), or b where link[b] = b
+    link[at[reads]] = prev[reads]
+    while True:
+        jump = link[link]
+        if np.array_equal(jump, link):
+            break
+        link = jump
+    to.ravel()[at[~reads]] = link[prev[~reads]] % k  # a step's target holds f of its predecessor
+    out[busy] = to
+    return out
 
 
 _P61 = np.uint64(MERSENNE61)

@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import numpy as np
 import pytest
@@ -348,6 +349,32 @@ def test_subsets_across_chunk_boundaries_and_top_ups(monkeypatch, chunk):
         if chunk < count * min(k, n - 1):  # fewer draws than a stream's least need
             assert any(start > 5 for _, start in calls)  # a top-up ran
         _assert_subsets_match_loop(seeds, 5, n, k, count)
+
+
+def test_subsets_match_the_reference_on_random_shapes(monkeypatch):
+    """A seeded sweep of (streams, n, k, count, start) at the default and a
+    tiny ``_DRAW_CHUNK``.  It reaches the shapes where a draw's acceptance
+    most often depends on its step: a mask that changes inside a subset (n
+    just above a power of two), k = n, and n = 8, k = 4, where the bounds
+    8..5 share mask 7 and 3 of the 8 masked values are accepted at some
+    steps only."""
+    default_chunk = rng_module._DRAW_CHUNK
+    pick = random.Random(2029)
+    reached = set()
+    for _ in range(400):
+        n = pick.choice([pick.randint(0, 90), 2 ** pick.randint(2, 6) + pick.randint(1, 3), 8])
+        k = 4 if n == 8 and pick.random() < 0.5 else pick.choice([pick.randint(0, n), n])
+        count, start = pick.randint(0, 6), pick.randint(0, 50)
+        seeds = [pick.getrandbits(64) for _ in range(pick.randint(1, 7))]
+        monkeypatch.setattr(rng_module, "_DRAW_CHUNK", pick.choice([default_chunk, pick.randint(1, 9)]))
+        _assert_subsets_match_loop(seeds, start, n, k, count)
+        steps = min(k, n - 1)
+        if count and steps > 0:
+            # step i masks to the bit width of n - i - 1
+            shapes = (("mask changes", (n - 1).bit_length() != (n - steps).bit_length()),
+                      ("k = n", k == n), ("n = 8, k = 4", (n, k) == (8, 4)))
+            reached |= {name for name, hit in shapes if hit}
+    assert reached == {"mask changes", "k = n", "n = 8, k = 4"}
 
 
 def test_subsets_rejects_bad_k():
