@@ -24,7 +24,14 @@ of its bound, changes inside a subset in no workload, so it also runs
 63).  Every workload's ``lowrank-sweep`` has
 m < d, so it also runs one at m = 12, 23 and 24 on a 200 x 24 input,
 where the rows at m_effective >= d are skip rows (``graph:s=2`` rounds 23
-up to 24, ``gaussian`` keeps it).  It compares CSV columns 1-14
+up to 24, ``gaussian`` keeps it).  Every workload's gamma-wise hash has
+s in {2, 4} and gamma in {4, 8}, so it also runs ``lsq-bench`` at m = 30,
+61 and 125, where the block heights are not powers of two: on a 600 x 6
+input with ``graph:s=3:gamma=2``, ``graph:s=3:gamma=5`` and
+``graph:s=5:gamma=9``, and on a 600 x 1 input with ``graph:s=1:gamma=1``
+and ``graph:s=5:gamma=1`` (constant hashes, no Horner step; they send
+every column to the same rows, so S A has rank one and a wider input
+exits 4 as rank-deficient).  It compares CSV columns 1-14
 (every column but ``wall_time_ms``) and any witness file byte for byte,
 prints one line per (step, threads, seed), and exits 1 if any run fails or
 any output differs.  When rows differ only in column 14, ``metric_value``,
@@ -129,6 +136,21 @@ def lowrank_steps(tmp: Path) -> list[tuple[str, Step]]:
     return [("lowrank-m-to-d", Step("lowrank-sweep", str(cfg), None, 1))]
 
 
+def lsq_gamma_steps(tmp: Path) -> list[tuple[str, Step]]:
+    """Two lsq-bench steps on configs written here: odd s, gamma from 1 to 9,
+    and block heights m / s that are not powers of two.  Gamma = 1 runs on
+    one column, where its rank-one S A is still full rank."""
+    steps = []
+    for name, d, methods in (
+            ("lsq-gamma-edges", 6, "graph:s=3:gamma=2,graph:s=3:gamma=5,graph:s=5:gamma=9"),
+            ("lsq-gamma-one", 1, "graph:s=1:gamma=1,graph:s=5:gamma=1")):
+        cfg = tmp / f"{name}.cfg"
+        cfg.write_text(f"input = gen:gaussian:600x{d}\nmethods = {methods}\n"
+                       "m_values = 30,61,125\ntrials = 3\n")
+        steps.append((name, Step("lsq-bench", str(cfg), None, 1)))
+    return steps
+
+
 def extract(base: str, dest: Path) -> None:
     """``git archive BASE | tar -x -C dest``."""
     dest.mkdir()
@@ -190,6 +212,7 @@ def main(argv=None) -> int:
         steps += magical_delta_steps(Path(tmp))
         steps += subset_mask_steps(Path(tmp))
         steps += lowrank_steps(Path(tmp))
+        steps += lsq_gamma_steps(Path(tmp))
         for wl_name, step in steps:
             for seed in SEEDS:
                 name = f"{wl_name}.{step.command}.t{step.threads}.seed{seed}.csv"

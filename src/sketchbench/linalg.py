@@ -120,11 +120,11 @@ def _norm(x: np.ndarray) -> float:
     of max|x|, which is exact and keeps x's layout, so the sum runs in the
     same order and every finite, normal sum keeps its bits.
     """
-    total = float(np.sum(x * x))
+    total = float((x * x).sum())
     if total == math.inf or (total < _TINY and np.any(x)):
         e = math.frexp(float(np.max(np.abs(x))))[1]
         x = np.ldexp(x, -e)
-        return math.ldexp(math.sqrt(np.sum(x * x)), e)
+        return math.ldexp(math.sqrt((x * x).sum()), e)
     return math.sqrt(total)
 
 
@@ -169,7 +169,7 @@ def _householder_qr(a, form_q: bool) -> tuple[np.ndarray | None, np.ndarray, int
         v = x.copy()
         v[0] -= alpha
         tau = 2.0 / float(v @ v)
-        r[k:, k:] -= np.outer(tau * v, v @ r[k:, k:])
+        r[k:, k:] -= (tau * v)[:, None] * (v @ r[k:, k:])
         r[k, k] = alpha
         r[k + 1 :, k] = 0.0
         reflectors.append(v)
@@ -185,7 +185,7 @@ def _householder_qr(a, form_q: bool) -> tuple[np.ndarray | None, np.ndarray, int
         if v is None:
             continue
         tau = 2.0 / float(v @ v)
-        q[k:, :] -= np.outer(tau * v, v @ q[k:, :])
+        q[k:, :] -= (tau * v)[:, None] * (v @ q[k:, :])
     q *= flip[None, :]
     return q, r_out, e
 
@@ -335,7 +335,7 @@ def _gram_extremes(x) -> tuple[float, float]:
         tau = 2.0 / float(v @ v)
         block = g[k + 1 :, k + 1 :]
         p = tau * (block @ v)
-        w = np.outer(v, p - (0.5 * tau * float(p @ v)) * v)
+        w = v[:, None] * (p - (0.5 * tau * float(p @ v)) * v)
         # w + wᵀ adds the same two products at (i, j) and (j, i): block stays symmetric
         block -= w + w.T
         g[k + 1, k] = alpha

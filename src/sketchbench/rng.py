@@ -43,11 +43,18 @@ drawing one value at a time.
 
 ``KwiseHash`` evaluates its polynomial by Horner's rule, in ``__call__`` on
 Python integers for one key and in ``eval_many`` on uint64 arrays for many.
-The field is the Mersenne prime p = 2^61 - 1 or a prime below 2^32, and no
-other: below 2^32, acc * x + c < p^2 fits in 64 bits as it is; for 2^61 - 1
-each Horner step splits acc and x into 32-bit limbs, forms the four limb
-products (each below 2^64), and folds them with 2^61 = 1 (mod p), so every
-intermediate stays below 2^63 and the result equals ``__call__`` bit for bit.
+``KwiseHashes`` holds several hashes over one field and evaluates them
+together: one Horner pass over a (hashes x keys) uint64 array, of which
+``KwiseHash.eval_many`` is the one-hash case; its ``sample`` draws the
+coefficients of count hashes with one ``KwiseHash.sample`` call, so values
+and stream position are those of count calls in a row.  The field is the
+Mersenne prime p = 2^61 - 1 or a prime below 2^32, and no other: below
+2^32, acc * x + c < p^2 fits in 64 bits as it is; for 2^61 - 1 each Horner
+step splits acc and x into 32-bit limbs, forms the four limb products, and
+folds them with 2^61 = 1 (mod p).  Between steps the accumulator is kept
+below p + 8 rather than below p, so every intermediate stays below 2^63,
+and one conditional subtraction at the end makes it canonical; the result
+equals ``__call__`` bit for bit.
 """
 
 from __future__ import annotations
@@ -423,31 +430,47 @@ def _check_prime(prime: int) -> None:
         )
 
 
-def _horner_mersenne61(coeffs: list[np.uint64], x: np.ndarray) -> np.ndarray:
-    """Horner's rule mod p = 2^61 - 1 on uint64 keys, coefficients highest first.
+def _horner_mersenne61(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner's rule mod p = 2^61 - 1 for many polynomials at the same keys.
 
-    Every operand lies in [0, p).  With acc = ah 2^32 + al and x = xh 2^32 + xl
-    (the high halves below 2^29), acc x = hh 2^64 + cross 2^32 + ll, and since
-    2^61 = 1 mod p: hh 2^64 = 8 hh, cross 2^32 = (cross >> 29) + (cross mod
-    2^29) 2^32, and ll = (ll mod 2^61) + (ll >> 61).  Those terms are below
-    2^61, but cross >> 29 is below 2^33 and ll >> 61 below 8, so with c the
-    sum stays below 2^63; one more fold and one conditional subtraction
-    bring it into [0, p).
+    ``coeffs`` is a (hashes, gamma) uint64 array, each row highest degree
+    first, and ``x`` a 1-D uint64 array of keys; both lie in [0, p).  Returns
+    the (hashes, keys) values in [0, p).  With acc = ah 2^32 + al and x = xh
+    2^32 + xl, acc x = hh 2^64 + cross 2^32 + ll, and since 2^61 = 1 mod p:
+    hh 2^64 = 8 hh, cross 2^32 = (cross >> 29) + (cross mod 2^29) 2^32, and
+    ll = (ll mod 2^61) + (ll >> 61).  Between steps acc stays below p + 8,
+    so ah <= 2^29 and xh < 2^29: cross < 2^62, 8 hh < 2^61, and with c the
+    sum t stays below 2^63.  One fold of t gives at most p + 3, and one
+    conditional subtraction after the last step brings it into [0, p).
     """
-    xh, xl = x >> np.uint64(32), x & _LO32
-    acc = np.full(x.shape, coeffs[0])
-    for c in coeffs[1:]:
-        ah, al = acc >> np.uint64(32), acc & _LO32
-        cross = ah * xl + al * xh        # < 2^62
-        ll = al * xl                     # < 2^64
-        t = (ah * xh) << np.uint64(3)    # < 2^61
-        t += cross >> np.uint64(29)
-        t += (cross & _LO29) << np.uint64(32)
-        t += ll & _P61
-        t += ll >> np.uint64(61)
-        t += c
-        acc = (t & _P61) + (t >> np.uint64(61))    # <= p + 3
-        np.subtract(acc, _P61, out=acc, where=acc >= _P61)
+    shift3, shift29, shift32, shift61 = (np.uint64(b) for b in (3, 29, 32, 61))
+    xh8, xl = (x >> shift32) << shift3, x & _LO32   # 8 xh < 2^32
+    acc = np.repeat(coeffs[:, :1], len(x), axis=1)
+    # every step writes into the same five arrays of acc's shape
+    ah, al, cross, ll, t = (np.empty_like(acc) for _ in range(5))
+    for k in range(1, coeffs.shape[1]):
+        np.right_shift(acc, shift32, out=ah)
+        np.bitwise_and(acc, _LO32, out=al)
+        np.multiply(ah, xh8, out=t)          # 8 hh < 2^61
+        np.multiply(ah, xl, out=cross)
+        np.multiply(al, xl, out=ll)          # < 2^64
+        np.multiply(al, xh8, out=al)         # 8 al xh < 2^64
+        al >>= shift3
+        cross += al                          # < 2^62
+        np.right_shift(cross, shift29, out=ah)
+        t += ah
+        cross &= _LO29
+        cross <<= shift32
+        t += cross
+        np.right_shift(ll, shift61, out=ah)
+        t += ah
+        ll &= _P61
+        t += ll
+        t += coeffs[:, k, None]
+        np.right_shift(t, shift61, out=acc)
+        t &= _P61
+        acc += t                             # <= p + 3
+    np.subtract(acc, _P61, out=acc, where=acc >= _P61)
     return acc
 
 
@@ -494,27 +517,60 @@ class KwiseHash:
     def eval_many(self, xs) -> np.ndarray:
         """Vectorized evaluation as int64; inputs must be integers in [0, prime).
 
-        Horner's rule over uint64 arrays, each step one set of array
-        operations over all keys, equal to ``__call__`` key by key: by 32-bit
-        limbs for 2^61 - 1 (``_horner_mersenne61``), directly below 2^32.
+        The one-hash case of ``KwiseHashes.eval_many``: equal to ``__call__``
+        key by key.
         """
+        return KwiseHashes((self,)).eval_many(xs)[0]
+
+
+@dataclass(frozen=True)
+class KwiseHashes:
+    """Several ``KwiseHash`` of one degree over one field, evaluated together."""
+
+    hashes: tuple[KwiseHash, ...]
+
+    @classmethod
+    def sample(cls, count: int, gamma: int, out_range: int, rng: Prng) -> "KwiseHashes":
+        """``count`` hashes, equal to ``count`` calls of ``KwiseHash.sample`` in a row.
+
+        Their coefficients in a row are those of one hash with count * gamma
+        coefficients, so one ``KwiseHash.sample`` call draws them all and
+        leaves the stream where the count calls would.
+        """
+        drawn = KwiseHash.sample(count * gamma, out_range, rng).coefficients
+        return cls(tuple(KwiseHash(MERSENNE61, drawn[i:i + gamma], out_range)
+                         for i in range(0, len(drawn), gamma)))
+
+    def eval_many(self, xs) -> np.ndarray:
+        """Row r is ``hashes[r].eval_many(xs)``, as one int64 array.
+
+        One Horner pass over a (hashes x keys) uint64 array, each step one set
+        of array operations over every hash and key: by 32-bit limbs for
+        2^61 - 1 (``_horner_mersenne61``), directly below 2^32.
+        """
+        primes = {h.prime for h in self.hashes}
+        if len(primes) > 1:
+            raise ValueError(f"hashes over different fields {sorted(primes)} cannot run together")
         keys = np.asarray(xs)
-        if keys.size == 0:
-            return np.empty(keys.shape, dtype=np.int64)
-        p = self.prime
+        if not self.hashes or keys.size == 0:
+            return np.empty((len(self.hashes),) + keys.shape, dtype=np.int64)
+        p = primes.pop()
         for end in (keys.min(), keys.max()):
             if not 0 <= end < p:
                 raise ValueError(f"hash input {end} outside field [0, {p})")
         if keys.dtype.kind not in "iuO":
             raise ValueError(f"hash inputs must be integers, got dtype {keys.dtype}")
-        x = keys.astype(np.uint64)
-        coeffs = [np.uint64(c % p) for c in reversed(self.coefficients)]
+        x = keys.astype(np.uint64).ravel()
+        coeffs = np.array([[c % p for c in reversed(h.coefficients)] for h in self.hashes],
+                          dtype=np.uint64)
         if p == MERSENNE61:
             acc = _horner_mersenne61(coeffs, x)
         else:
             # below 2^32, acc * x + c < p^2 fits in uint64 as it is
-            acc = np.full(x.shape, coeffs[0])
-            for c in coeffs[1:]:
-                acc = (acc * x + c) % np.uint64(p)
+            acc = np.repeat(coeffs[:, :1], len(x), axis=1)
+            for k in range(1, coeffs.shape[1]):
+                acc = (acc * x + coeffs[:, k, None]) % np.uint64(p)
         # acc < p, so a range at or above p leaves it as it is
-        return (acc % np.uint64(min(self.out_range, p))).astype(np.int64)
+        ranges = np.array([min(h.out_range, p) for h in self.hashes], dtype=np.uint64)
+        acc %= ranges[:, None]
+        return acc.view(np.int64).reshape((len(self.hashes),) + keys.shape)

@@ -21,9 +21,13 @@ parent stream has advanced); operators keep no copy of it.  Without
 ``gamma``, h_i(j) is draw i·n + j below m/s of the row stream.  With
 ``gamma`` set, both streams seed gamma-wise independent polynomial hashes
 instead of being consumed per entry; this is only defined for the block row
-rule.  The stream ids, the shape checks and the block-row draw
-(``_block_mode_rows``) are declared here once; ``graphs`` calls that draw
-on all its trials' row streams, for only the columns it checks.
+rule.  Each stream draws its s hashes' coefficients in one call, and all 2s
+hashes are evaluated at the n columns in one ``KwiseHashes.eval_many``
+pass.  ``sketch_apply`` scatters each of the s passes with one 1-D
+``np.add.at`` on the flat output.  The stream ids, the shape checks and the
+block-row draw (``_block_mode_rows``) are declared here once; ``graphs``
+calls that draw on all its trials' row streams, for only the columns it
+checks.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _as_matrix
-from .rng import KwiseHash, Prng, _draws_below, _subsets
+from .rng import KwiseHashes, Prng, _draws_below, _subsets
 
 _ROW_STREAM = 1
 _SIGN_STREAM = 2
@@ -102,6 +106,10 @@ def graph_sketch_new(
     the sign assignment to a gamma-wise independent polynomial family; use
     gamma >= 4 to track the fully random distortion profile, since gamma = 2
     places consecutive columns on a lattice and lowers the median distortion.
+    With ``gamma``, the i-th row hash and the i-th sign hash are the i-th of
+    s ``KwiseHash.sample`` draws in a row on the row and the sign stream; one
+    ``KwiseHashes.sample`` per stream draws them, and one Horner pass
+    evaluates all 2s of them at columns 0..n-1.
     """
     _check_degree(n, m, s)
     if row_mode not in ("block", "subset"):
@@ -117,12 +125,11 @@ def graph_sketch_new(
             rows = _block_mode_rows(seeds, n, m, s, np.arange(n)[None, :])[0]
             signs = signs_rng.signs(n * s).reshape(n, s)
         else:
-            cols = np.arange(n)
-            h = np.stack([KwiseHash.sample(gamma, block, rows_rng).eval_many(cols)
-                          for _ in range(s)], axis=1)
-            rows = h + np.arange(s) * block
-            signs = 1.0 - 2.0 * np.stack([KwiseHash.sample(gamma, 2, signs_rng).eval_many(cols)
-                                          for _ in range(s)], axis=1)
+            hashes = (KwiseHashes.sample(s, gamma, block, rows_rng).hashes
+                      + KwiseHashes.sample(s, gamma, 2, signs_rng).hashes)
+            h = KwiseHashes(hashes).eval_many(np.arange(n)).T.copy()
+            rows = h[:, :s] + np.arange(s) * block
+            signs = 1.0 - 2.0 * h[:, s:]
     else:
         if gamma is not None:
             raise ValueError("gamma-wise hashing is only defined for row_mode='block'")
@@ -167,15 +174,20 @@ def sketch_apply(op: SketchOperator, a) -> np.ndarray:
 
     Graph sketches scatter each row of A into s output rows, so the
     arithmetic cost is at most 2 s n d; Gaussian sketches use a dense
-    matrix product.
+    matrix product.  Pass i is one 1-D ``np.add.at`` of sign times A at
+    the flat indices row·d + column, in C order, so every output entry
+    takes its terms pass by pass and, within a pass, input row by input
+    row: the order of a 2-D ``np.add.at`` per pass, bit for bit.
     """
     dense = _as_matrix(a)
     if dense.shape[0] != op.n:
         raise ValueError(f"operator expects {op.n} rows, got {dense.shape[0]}")
     if isinstance(op, GaussianSketch):
         return op.entries @ dense
-    out = np.zeros((op.m, dense.shape[1]))
+    d = dense.shape[1]
+    out = np.zeros(op.m * d)
     for i in range(op.s):
-        np.add.at(out, op.rows_per_column[:, i], op.signs_per_column[:, i, None] * dense)
+        flat = op.rows_per_column[:, i, None] * d + np.arange(d)
+        np.add.at(out, flat.ravel(), (op.signs_per_column[:, i, None] * dense).ravel())
     out *= op.scale
-    return out
+    return out.reshape(op.m, d)

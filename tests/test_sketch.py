@@ -9,9 +9,10 @@ from oracles import check_graph_sketch, sketch_densify, sketch_graph
 
 from sketchbench.graphs import max_matching_covers
 from sketchbench.matrices import gen_gaussian
-from sketchbench.rng import Prng
+from sketchbench.rng import MERSENNE61, KwiseHash, KwiseHashes, Prng
 from sketchbench.sketch import (
     _ROW_STREAM,
+    _SIGN_STREAM,
     GaussianSketch,
     GraphSketch,
     expander_sketch_params,
@@ -129,6 +130,60 @@ def test_gamma_mode_bytes_are_pinned(gamma, m, s, digest):
     op = graph_sketch_new(2000, m, s, Prng(909), gamma)
     data = op.rows_per_column.tobytes() + op.signs_per_column.tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _gamma_reference(n, m, s, gamma, rng):
+    """The gamma-wise operator hash by hash: s row hashes, then s sign hashes,
+    each one ``KwiseHash.sample`` and one ``eval_many`` over the columns."""
+    block, cols = m // s, np.arange(n)
+    rows_rng, signs_rng = rng.split(_ROW_STREAM), rng.split(_SIGN_STREAM)
+    h = np.stack([KwiseHash.sample(gamma, block, rows_rng).eval_many(cols)
+                  for _ in range(s)], axis=1)
+    signs = np.stack([KwiseHash.sample(gamma, 2, signs_rng).eval_many(cols)
+                      for _ in range(s)], axis=1)
+    return h + np.arange(s) * block, 1.0 - 2.0 * signs
+
+
+def test_gamma_mode_matches_the_per_hash_reference_on_random_shapes():
+    pick = np.random.default_rng(2030)
+    heights = [1, 2, 3] + [2**j + e for j in range(2, 9) for e in (-1, 1)]
+    for trial in range(300):
+        n = int(pick.integers(1, 5001)) if trial % 3 else int(pick.integers(1, 40))
+        s, gamma = int(pick.integers(1, 6)), int(pick.integers(1, 10))
+        m = s * int(pick.choice(heights))
+        op = graph_sketch_new(n, m, s, Prng(trial), gamma=gamma)
+        rows, signs = _gamma_reference(n, m, s, gamma, Prng(trial))
+        for got, want in ((op.rows_per_column, rows), (op.signs_per_column, signs)):
+            assert got.dtype == want.dtype and got.shape == want.shape, (n, m, s, gamma)
+            np.testing.assert_array_equal(got, want, err_msg=f"n={n} m={m} s={s} gamma={gamma}")
+
+
+def test_batched_horner_matches_scalar_at_the_top_of_the_field():
+    # acc, keys and coefficients at p - 1 put every step at the bound of the lazy reduction
+    top = MERSENNE61 - 1
+    keys = [0, 1, 2, 2**32 - 1, 2**32, 2**60, top - 1, top]
+    draws = Prng(31).integers_below(MERSENNE61, 40).tolist()
+    for gamma in range(1, 10):
+        hashes = [KwiseHash(MERSENNE61, (top,) * gamma, out_range) for out_range in (2, 2**40, 2**70)]
+        hashes.append(KwiseHash(MERSENNE61, tuple(draws[:gamma - 1]) + (top,), 1000))
+        hashes.append(KwiseHash(MERSENNE61, tuple(draws[gamma:2 * gamma]), 7))
+        values = KwiseHashes(tuple(hashes)).eval_many(np.array(keys))
+        assert values.dtype == np.int64 and values.shape == (len(hashes), len(keys))
+        for h, row in zip(hashes, values.tolist()):
+            assert row == [h(x) for x in keys], h
+
+
+def test_hash_stack_refuses_mixed_fields_and_takes_no_hashes():
+    with pytest.raises(ValueError, match="different fields"):
+        KwiseHashes((KwiseHash(7, (1, 2), 3), KwiseHash(MERSENNE61, (1, 2), 3))).eval_many([1])
+    assert KwiseHashes(()).eval_many([1, 2]).shape == (0, 2)
+
+
+def test_hash_stack_sample_is_count_samples_in_a_row():
+    one, many = Prng(41), Prng(41)
+    stack = KwiseHashes.sample(3, 5, 11, many)
+    assert stack.hashes == tuple(KwiseHash.sample(5, 11, one) for _ in range(3))
+    assert many.counter == one.counter
 
 
 def test_gamma_differs_from_full():
@@ -275,6 +330,31 @@ def test_apply_linearity_general_s():
     lhs = sketch_apply(sk, a + b)
     rhs = sketch_apply(sk, a) + sketch_apply(sk, b)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
+
+
+def _apply_reference(op, a):
+    """Every pass as one 2-D ``np.add.at`` over the output rows."""
+    out = np.zeros((op.m, a.shape[1]))
+    for i in range(op.s):
+        np.add.at(out, op.rows_per_column[:, i], op.signs_per_column[:, i, None] * a)
+    out *= op.scale
+    return out
+
+
+@pytest.mark.parametrize("d", [0, 1, 10, 100])
+@pytest.mark.parametrize("n, m, s, mode", [
+    (300, 40, 2, {}), (300, 40, 4, {}), (200, 30, 3, {"row_mode": "subset"}),
+    (250, 48, 4, {"gamma": 4}), (257, 9, 3, {"gamma": 1}), (3000, 4, 2, {}), (300, 7, 1, {}),
+])
+def test_apply_flat_scatter_matches_the_2d_reference_bit_for_bit(n, m, s, mode, d):
+    op = graph_sketch_new(n, m, s, Prng(n + m + s), **mode)
+    a = Prng(d + 3).normal(n * d).reshape(n, d)
+    a[np.random.default_rng(d).random(a.shape) < 0.3] = 0.0  # sign times zero gives -0.0
+    for x in (a, np.asfortranarray(a), a[::-1].copy()):
+        got, want = sketch_apply(op, x), _apply_reference(op, x)
+        assert got.shape == want.shape == (m, d)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_apply_shape_mismatch():
