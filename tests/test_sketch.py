@@ -164,7 +164,8 @@ def test_batched_horner_matches_scalar_at_the_top_of_the_field():
     keys = [0, 1, 2, 2**32 - 1, 2**32, 2**60, top - 1, top]
     draws = Prng(31).integers_below(MERSENNE61, 40).tolist()
     for gamma in range(1, 10):
-        hashes = [KwiseHash(MERSENNE61, (top,) * gamma, out_range) for out_range in (2, 2**40, 2**70)]
+        hashes = [KwiseHash(MERSENNE61, (top,) * gamma, out_range)
+                  for out_range in (2, 2**40, 2**70)]
         hashes.append(KwiseHash(MERSENNE61, tuple(draws[:gamma - 1]) + (top,), 1000))
         hashes.append(KwiseHash(MERSENNE61, tuple(draws[gamma:2 * gamma]), 7))
         values = KwiseHashes(tuple(hashes)).eval_many(np.array(keys))
